@@ -72,9 +72,13 @@ void BM_DbCacheHit(benchmark::State& state) {
   DistributedKvStore store(g, 16);
   DbCache cache(&store, 1u << 30);
   cache.GetAdjacency(42);
+  // The executor's shape: one pinned reader, borrowed hits.
+  DbCache::Reader reader(&cache);
+  reader.Pin();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.GetAdjacency(42));
+    benchmark::DoNotOptimize(cache.Get(42).borrowed);
   }
+  reader.Unpin();
 }
 BENCHMARK(BM_DbCacheHit);
 

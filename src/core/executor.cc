@@ -44,23 +44,26 @@ CachedAdjacencyProvider::CachedAdjacencyProvider(DbCache* cache,
 
 AdjacencyProvider::Fetch CachedAdjacencyProvider::GetAdjacency(VertexId v) {
   DbCache::Reply reply = cache_->Get(v);
+  const AdjacencyPayload& value = reply.value();
   Fetch fetch;
   fetch.cache_hit = reply.outcome == DbCache::Outcome::kHit;
   fetch.coalesced = reply.outcome == DbCache::Outcome::kCoalesced;
   // A coalesced fetch transfers no bytes of its own: the primary miss
   // accounts the reply payload (its actual wire footprint — encoded
   // frame size on compressed transports) once.
-  fetch.bytes = reply.outcome == DbCache::Outcome::kMiss
-                    ? reply.value.wire_bytes
-                    : 0;
-  if (reply.value.is_encoded()) {
+  fetch.bytes =
+      reply.outcome == DbCache::Outcome::kMiss ? value.wire_bytes : 0;
+  // Moving out of `reply.owned` leaves the pointees (and so the raw
+  // pointers taken here) in place; on a hit the owners stay null.
+  if (value.is_encoded()) {
     // Hand the encoded payload through untouched: the executor's fused
     // kernels intersect it without a decode, or SlotView materializes
     // it on a plain-view use.
-    fetch.encoded = std::move(reply.value.encoded);
+    fetch.encoded = value.encoded.get();
+    fetch.encoded_owner = std::move(reply.owned.encoded);
   } else {
-    fetch.set = std::move(reply.value.decoded);
-    fetch.view = VertexSetView(*fetch.set);
+    fetch.view = VertexSetView(*value.decoded);
+    fetch.set = std::move(reply.owned.decoded);
   }
   return fetch;
 }
@@ -101,6 +104,7 @@ PlanExecutor::PlanExecutor(const ExecutionPlan* plan,
                            const std::vector<int>* data_labels)
     : plan_(plan),
       provider_(provider),
+      reader_(provider->NewReader()),
       tcache_(tcache),
       degree_floors_(degree_floors),
       data_labels_(data_labels) {
@@ -331,7 +335,7 @@ Status PlanExecutor::Compile() {
 VertexSetView PlanExecutor::SlotView(int slot) {
   BENU_CHECK(slot >= 0) << "V(G) pseudo-operand outside its fast path";
   SetSlot& s = slots_[static_cast<size_t>(slot)];
-  if (s.encoded != nullptr && s.shared == nullptr) {
+  if (EncodedOnly(slot) != nullptr) {
     // Fallback materialization of an encoded slot (a use the fused
     // kernels don't cover). Memoized: repeated views decode once.
     auto decoded = std::make_shared<VertexSet>();
@@ -346,8 +350,7 @@ VertexSetView PlanExecutor::SlotView(int slot) {
 
 void PlanExecutor::ExecIntersect(const Compiled& ins) {
   SetSlot& out = slots_[static_cast<size_t>(ins.target_set_slot)];
-  out.shared.reset();
-  out.encoded.reset();
+  out.ClearPayload();
   VertexSet& result = out.owned;
   ++stats_.intersections;
 
@@ -479,12 +482,14 @@ void PlanExecutor::Exec(size_t pc) {
           stats_.bytes_fetched += fetch.bytes;
         }
         SetSlot& slot = slots_[static_cast<size_t>(ins.target_set_slot)];
-        // fetch.view stays valid across the move: it points into the
-        // shared payload (owned path) or provider storage (zero-copy).
-        // An encoded fetch leaves `view` empty until SlotView (or a
-        // fused kernel consuming `encoded` directly) needs it.
+        // fetch.view and fetch.encoded stay valid across the moves: they
+        // point into the owned payload, the pinned cache entry (a hit)
+        // or provider storage (zero-copy). An encoded fetch leaves
+        // `view` empty until SlotView (or a fused kernel consuming
+        // `encoded` directly) needs it.
         slot.shared = std::move(fetch.set);
-        slot.encoded = std::move(fetch.encoded);
+        slot.encoded_owner = std::move(fetch.encoded_owner);
+        slot.encoded = fetch.encoded;
         slot.view = fetch.view;
         break;
       }
@@ -495,7 +500,7 @@ void PlanExecutor::Exec(size_t pc) {
       case InstrType::kTriangleCache: {
         const VertexId neighbor = f_[static_cast<size_t>(ins.trc_neighbor_f)];
         SetSlot& slot = slots_[static_cast<size_t>(ins.target_set_slot)];
-        slot.encoded.reset();
+        slot.ClearPayload();
         if (auto cached = tcache_->Lookup(neighbor)) {
           ++stats_.tcache_hits;
           slot.shared = std::move(cached);
@@ -678,9 +683,12 @@ TaskStats PlanExecutor::RunTask(const SearchTask& task,
   trace_.current = -1;
   if (tcache_ != nullptr) tcache_->BeginTask(task.start);
   std::fill(f_.begin(), f_.end(), kInvalidVertex);
+  // Borrowed cache hits stay valid for the whole task.
+  if (reader_ != nullptr) reader_->Pin();
   if (cancel_ == nullptr || !cancel_->load(std::memory_order_relaxed)) {
     Exec(0);
   }
+  if (reader_ != nullptr) reader_->Unpin();
   if (trace_.timed) TraceSwitch(-1);  // charge the tail interval
   task_ = nullptr;
   consumer_ = nullptr;

@@ -57,19 +57,23 @@ enum class ExpansionMode {
 /// in-memory graph.
 class AdjacencyProvider {
  public:
+  /// A fetched adjacency set is either owned (`set` or `encoded_owner`
+  /// non-null) or borrowed (both null). Borrowed storage is the
+  /// provider's graph (DirectAdjacencyProvider, valid for the provider's
+  /// lifetime) or a DbCache entry (a cache hit, valid until the fetching
+  /// thread's reader unpins at the end of its task).
   struct Fetch {
-    /// Keeps the adjacency payload alive while the executor references
-    /// it. Null on zero-copy paths (DirectAdjacencyProvider), where
-    /// `view` aliases storage owned by the provider's graph.
+    /// Owns the decoded set when the provider hands it over (cache
+    /// misses and coalesced waits on raw transports).
     std::shared_ptr<const VertexSet> set;
+    /// Owns the encoded set when the provider hands it over.
+    std::shared_ptr<const codec::EncodedSet> encoded_owner;
     /// Delta+varint-encoded payload, delivered when the provider sits on
     /// a compressed transport. When non-null, `set` is null and `view`
     /// is empty: the executor either fuses the encoded form into its
     /// intersect kernels or decodes it on first plain-view use.
-    std::shared_ptr<const codec::EncodedSet> encoded;
-    /// The adjacency set itself; valid iff `encoded` is null. Points
-    /// into `set` when `set` is non-null, otherwise into provider-owned
-    /// storage that outlives the executor.
+    const codec::EncodedSet* encoded = nullptr;
+    /// The adjacency set itself; valid iff `encoded` is null.
     VertexSetView view;
     bool cache_hit = false;
     /// Miss served by piggybacking on another thread's in-flight store
@@ -80,7 +84,12 @@ class AdjacencyProvider {
   };
 
   virtual ~AdjacencyProvider() = default;
+  /// Must be called with the calling thread's reader (NewReader) pinned.
   virtual Fetch GetAdjacency(VertexId v) = 0;
+  /// A reader for one thread of fetches that may borrow from a DbCache,
+  /// or null for providers that never do. PlanExecutor holds one for its
+  /// lifetime and pins it for the whole of every RunTask.
+  virtual std::unique_ptr<DbCache::Reader> NewReader() { return nullptr; }
   /// Hints that GetAdjacency will soon be called for (a prefix of) the
   /// given keys. Non-blocking; providers without a prefetch path ignore
   /// it. The executor issues this per ENU instruction whose enumerated
@@ -123,7 +132,11 @@ class CachedAdjacencyProvider : public AdjacencyProvider {
                                    size_t prefetch_budget = 0,
                                    MemoryGovernor* governor = nullptr);
 
+  /// A hit borrows the cache entry; misses own their reply.
   Fetch GetAdjacency(VertexId v) override;
+  std::unique_ptr<DbCache::Reader> NewReader() override {
+    return std::make_unique<DbCache::Reader>(cache_);
+  }
   void Prefetch(const VertexId* keys, size_t count) override;
   size_t NumVertices() const override { return num_vertices_; }
 
@@ -248,15 +261,27 @@ class PlanExecutor {
   };
 
   // A set register: an owned scratch vector (INT results), a shared
-  // immutable set (DBQ / TRC results), or a still-encoded DBQ payload
-  // (compressed transports). An encoded slot has an empty `view` until
-  // SlotView materializes it; the fused intersect kernels consume
-  // `encoded` directly without ever materializing.
+  // immutable set (owned DBQ replies, TRC results, memoized decodes), a
+  // borrowed DBQ set (cache hits, direct provider), or a still-encoded
+  // DBQ payload (compressed transports; `encoded_owner` owns it unless
+  // it is borrowed). An encoded slot has an empty `view` until SlotView
+  // materializes it; the fused intersect kernels consume `encoded`
+  // directly without ever materializing. Borrowed pointers are valid
+  // only in the task that set them, and every task writes a slot before
+  // reading it.
   struct SetSlot {
     VertexSet owned;
     std::shared_ptr<const VertexSet> shared;
-    std::shared_ptr<const codec::EncodedSet> encoded;
+    std::shared_ptr<const codec::EncodedSet> encoded_owner;
+    const codec::EncodedSet* encoded = nullptr;
     VertexSetView view;
+
+    /// Drops any DBQ / TRC payload before the slot is rewritten.
+    void ClearPayload() {
+      shared.reset();
+      encoded_owner.reset();
+      encoded = nullptr;
+    }
   };
 
   PlanExecutor(const ExecutionPlan* plan, AdjacencyProvider* provider,
@@ -286,7 +311,7 @@ class PlanExecutor {
   const codec::EncodedSet* EncodedOnly(int slot) const {
     if (slot < 0) return nullptr;
     const SetSlot& s = slots_[static_cast<size_t>(slot)];
-    return s.shared == nullptr ? s.encoded.get() : nullptr;
+    return s.shared == nullptr ? s.encoded : nullptr;
   }
 
   // -------------------------------------------------------------------
@@ -324,6 +349,9 @@ class PlanExecutor {
 
   const ExecutionPlan* plan_;
   AdjacencyProvider* provider_;
+  /// Pinned for the whole of every RunTask; null when the provider never
+  /// borrows.
+  std::unique_ptr<DbCache::Reader> reader_;
   TriangleCache* tcache_;
   const std::vector<VertexId>* degree_floors_;
   const std::vector<int>* data_labels_;

@@ -36,7 +36,12 @@ ServiceTcpServer::~ServiceTcpServer() {
   // Refuse new queries, let the dying engine cancel and answer the
   // in-flight ones through the still-running loop, then stop the loop.
   draining_.store(true, std::memory_order_release);
-  engine_.reset();
+  std::unique_ptr<QueryEngine> dying;
+  {
+    std::lock_guard<std::mutex> lock(engine_mu_);
+    dying = std::move(engine_);
+  }
+  dying.reset();
   Stop();
 }
 
@@ -157,7 +162,6 @@ void ServiceTcpServer::DrainOutbox(Conn& conn) {
 
 bool ServiceTcpServer::HandleFrame(Conn& conn, const uint8_t* data,
                                    size_t size) {
-  ++frames_handled_;
   const std::span<const uint8_t> span(data, size);
   const uint16_t tag = wire::FrameTag(span);
   auto reply_error = [&](const Status& status) {
@@ -176,6 +180,10 @@ bool ServiceTcpServer::HandleFrame(Conn& conn, const uint8_t* data,
   const wire::Frame& frame = *decoded;
   switch (frame.header.type) {
     case wire::MessageType::kHelloRequest: {
+      if (draining_.load(std::memory_order_acquire)) {
+        reply_error(Status::Unavailable("service is shutting down"));
+        return true;
+      }
       wire::HelloInfo info;
       info.num_vertices =
           static_cast<uint32_t>(engine_->relabeled_graph().NumVertices());
@@ -319,18 +327,6 @@ bool ServiceTcpServer::HandleFrame(Conn& conn, const uint8_t* data,
       DrainOutbox(conn);
       return true;
     }
-    case wire::MessageType::kStatsRequest: {
-      wire::ServerStats stats;
-      stats.requests = frames_handled_;
-      const QueryEngine::EngineStats es = engine_->stats();
-      stats.keys_served = es.admitted;
-      stats.bytes_sent = es.completed;
-      std::vector<uint8_t> reply;
-      wire::AppendStatsReply(stats, &reply);
-      wire::SetFrameTag(reply, tag);
-      conn.out.insert(conn.out.end(), reply.begin(), reply.end());
-      return true;
-    }
     default:
       reply_error(Status::InvalidArgument(
           "frame type not handled by the enumeration service"));
@@ -439,6 +435,9 @@ void ServiceTcpServer::EventLoop() {
       if (errno == EINTR) continue;
       return;
     }
+    // The destructor takes engine_ only between batches, so within one a
+    // frame that saw draining_ unset may still use the engine.
+    std::lock_guard<std::mutex> engine_lock(engine_mu_);
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == wake_fds_[0]) {

@@ -103,9 +103,13 @@ class ServiceTcpServer {
   void PostFrame(const std::shared_ptr<Outbox>& outbox,
                  std::vector<uint8_t> frame, int finished_tag);
 
+  /// Null once the destructor has taken it (under engine_mu_).
   std::unique_ptr<QueryEngine> engine_;
-  /// Set before the engine dies: query/cancel frames are refused with
-  /// kUnavailable instead of reaching a dying engine.
+  /// Held by the loop thread while it serves one batch of events, so the
+  /// destructor cannot take the engine from under a frame in progress.
+  std::mutex engine_mu_;
+  /// Set before the engine dies: every frame that would reach the engine
+  /// is refused with kUnavailable instead.
   std::atomic<bool> draining_{false};
 
   int listen_fd_ = -1;
@@ -116,7 +120,6 @@ class ServiceTcpServer {
   std::thread loop_thread_;
   std::unordered_map<int, Conn> conns_;  // owned by the loop thread
   uint64_t next_session_ = 1;
-  uint64_t frames_handled_ = 0;  // loop thread only (kStatsReply)
 };
 
 }  // namespace benu::service

@@ -1,6 +1,8 @@
 #include "storage/db_cache.h"
 
-#include "common/metrics.h"
+#include <limits>
+
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/memory_governor.h"
 
@@ -11,6 +13,8 @@ DbCache::DbCache(const DistributedKvStore* store, size_t capacity_bytes,
                  size_t prefetch_batch_size, MemoryGovernor* governor)
     : store_(store),
       capacity_bytes_(capacity_bytes),
+      num_vertices_(store->num_vertices()),
+      table_(std::make_unique<std::atomic<Entry*>[]>(num_vertices_)),
       fetch_pool_(fetch_pool),
       prefetch_batch_size_(prefetch_batch_size == 0 ? 1
                                                     : prefetch_batch_size),
@@ -53,6 +57,10 @@ DbCache::DbCache(const DistributedKvStore* store, size_t capacity_bytes,
       "db_cache.resident_bytes", "bytes",
       "currently cached resident bytes (encoded size for compressed "
       "entries, plus per-entry overhead) across all caches");
+  metrics_.retired_bytes = registry.GetGauge(
+      "db_cache.retired_bytes", "bytes",
+      "bytes of evicted or invalidated entries not yet freed because a "
+      "pinned reader may still hold them, across all caches");
   metrics_.sync_fetch_us = registry.GetHistogram(
       "db_cache.sync_fetch.us", "us",
       "latency of synchronous primary-miss store queries (traced)");
@@ -76,9 +84,16 @@ DbCache::~DbCache() {
   // Publish any flights no fetcher picked up, so a (misbehaving) waiter
   // blocked in Get is released rather than deadlocked on teardown.
   DrainQueue();
-  // The resident-bytes gauge is a process-wide total across caches;
-  // un-count this cache's surviving entries (and release the governor's
+  {
+    std::lock_guard<std::mutex> lock(readers_mu_);
+    for (const auto& slot : readers_) {
+      BENU_CHECK(!slot->in_use) << "a DbCache::Reader outlived its cache";
+    }
+  }
+  // The byte gauges are process-wide totals across caches; un-count this
+  // cache's surviving and retired entries (and release the governor's
   // budget share, so a later run under the same governor starts clean).
+  metrics_.retired_bytes->Add(-static_cast<double>(RetiredBytes()));
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     if (shard->bytes != 0) {
@@ -90,26 +105,80 @@ DbCache::~DbCache() {
   }
 }
 
+DbCache::Reader::Reader(DbCache* cache) : cache_(cache) {
+  std::lock_guard<std::mutex> lock(cache_->readers_mu_);
+  for (const auto& slot : cache_->readers_) {
+    if (!slot->in_use) {
+      slot_ = slot.get();
+      break;
+    }
+  }
+  if (slot_ == nullptr) {
+    cache_->readers_.push_back(std::make_unique<ReaderSlot>());
+    slot_ = cache_->readers_.back().get();
+  }
+  slot_->in_use = true;
+}
+
+DbCache::Reader::~Reader() {
+  Unpin();
+  std::lock_guard<std::mutex> lock(cache_->readers_mu_);
+  slot_->in_use = false;
+}
+
+void DbCache::Reader::Pin() {
+  pinned_ = true;
+  slot_->era.store(cache_->era_.load(std::memory_order_seq_cst),
+                   std::memory_order_seq_cst);
+}
+
+void DbCache::Reader::Unpin() {
+  if (!pinned_) return;
+  pinned_ = false;
+  slot_->era.store(0, std::memory_order_seq_cst);
+  // Either this load sees entries a retirer could not free because of
+  // this reader's pin, or that retirer's scan saw the unpin above.
+  if (cache_->retired_bytes_.load(std::memory_order_seq_cst) != 0) {
+    cache_->Reclaim();
+  }
+}
+
+DbCache::Reply DbCache::Hit(Entry* entry) {
+  // Set the reference bit only when clear: a hot entry's line then stays
+  // shared across the threads hitting it.
+  if (!entry->referenced.load(std::memory_order_relaxed)) {
+    entry->referenced.store(true, std::memory_order_relaxed);
+  }
+  if (entry->prefetched.load(std::memory_order_relaxed) &&
+      entry->prefetched.exchange(false, std::memory_order_relaxed)) {
+    // First touch of a prefetched entry: the pipeline converted a
+    // would-be stall into a hit.
+    prefetch_hits_.Add(1);
+    metrics_.prefetch_hits->Add(1);
+  }
+  hits_.Add(1);
+  metrics_.hits->Add(1);
+  Reply reply;
+  reply.borrowed = &entry->value;
+  reply.outcome = Outcome::kHit;
+  return reply;
+}
+
 DbCache::Reply DbCache::Get(VertexId v) {
+  BENU_CHECK(v < num_vertices_) << "vertex " << v << " out of range";
+  // The lock-free hit. seq_cst (the same plain load as acquire on x86-64)
+  // because it pairs with Reader::Pin against a retirer's unlink.
+  if (Entry* entry = table_[v].load(std::memory_order_seq_cst)) {
+    return Hit(entry);
+  }
   Shard& shard = ShardFor(v);
   std::shared_ptr<Flight> flight;
   bool primary = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(v);
-    if (it != shard.index.end()) {
-      ++shard.hits;
-      metrics_.hits->Add(1);
-      if (it->second->prefetched) {
-        // First touch of a prefetched entry: the pipeline converted a
-        // would-be stall into a hit.
-        it->second->prefetched = false;
-        ++shard.prefetch_hits;
-        metrics_.prefetch_hits->Add(1);
-      }
-      // Move to the front of the LRU list.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return Reply{it->second->value, Outcome::kHit};
+    // The entry may have landed since the probe above.
+    if (Entry* entry = table_[v].load(std::memory_order_relaxed)) {
+      return Hit(entry);
     }
     auto fit = shard.inflight.find(v);
     if (fit != shard.inflight.end()) {
@@ -141,6 +210,7 @@ DbCache::Reply DbCache::Get(VertexId v) {
     }
   }
 
+  Reply reply;
   if (!primary) {
     {
       metrics::ScopedSpan span(metrics_.coalesced_wait_us);
@@ -154,7 +224,9 @@ DbCache::Reply DbCache::Get(VertexId v) {
       // retained). Retry under the current epoch.
       return Get(v);
     }
-    return Reply{flight->value, Outcome::kCoalesced};
+    reply.owned = flight->value;
+    reply.outcome = Outcome::kCoalesced;
+    return reply;
   }
 
   // Primary miss path: query the distributed database outside any lock so
@@ -173,7 +245,8 @@ DbCache::Reply DbCache::Get(VertexId v) {
     // the current epoch's adjacency.
     flight->epoch.store(now, std::memory_order_release);
   }
-  Reply reply{value, Outcome::kMiss};
+  reply.owned = value;
+  reply.outcome = Outcome::kMiss;
   InsertAndPublish(v, std::move(value), flight, /*prefetched=*/false);
   return reply;
 }
@@ -188,47 +261,39 @@ void DbCache::InsertAndPublish(VertexId v, AdjacencyPayload value,
   // surface as a hit in the new snapshot.
   const bool stale = flight->epoch.load(std::memory_order_acquire) !=
                      epoch_.load(std::memory_order_acquire);
+  std::list<Entry> victims;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.inflight.erase(v);
     const size_t shard_capacity =
         capacity_bytes_ == 0 ? 0 : capacity_bytes_ / shards_.size();
-    if (!stale &&
-        bytes <= shard_capacity) {  // capacity 0 / oversized: not retained
-      auto it = shard.index.find(v);
-      if (it != shard.index.end()) {
-        // Raced insert (unreachable while single-flight holds, kept as
-        // defense): the entry is hot — promote it to MRU instead of
-        // leaving it where a concurrent eviction pass would take it. The
-        // incoming value is dropped; if it was prefetched, that fetch
-        // converted nothing and counts as wasted.
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        if (prefetched) {
-          ++shard.prefetch_wasted;
-          metrics_.prefetch_wasted->Add(1);
+    // Capacity 0 / oversized: not retained. A resident entry (a raced
+    // insert, unreachable while single-flight holds) is kept as is.
+    const bool retain = !stale && bytes <= shard_capacity &&
+                        table_[v].load(std::memory_order_relaxed) == nullptr;
+    if (retain) {
+      // Sweep the CLOCK hand until the new entry fits. Each entry gets at
+      // most one second chance per sweep, so hits racing the sweep
+      // cannot keep it from making progress.
+      size_t second_chances = shard.clock.size();
+      while (shard.bytes + bytes > shard_capacity) {
+        auto hand = shard.clock.begin();
+        if (second_chances > 0 &&
+            hand->referenced.load(std::memory_order_relaxed)) {
+          --second_chances;
+          hand->referenced.store(false, std::memory_order_relaxed);
+          shard.clock.splice(shard.clock.end(), shard.clock, hand);
+        } else {
+          UnlinkLocked(shard, hand, &victims);
         }
-      } else {
-        shard.lru.push_front(Entry{v, value, bytes, prefetched});
-        shard.index[v] = shard.lru.begin();
-        shard.bytes += bytes;
-        metrics_.resident_bytes->Add(static_cast<double>(bytes));
-        if (governor_ != nullptr) {
-          governor_->AddCacheResident(static_cast<int64_t>(bytes));
-        }
-        while (shard.bytes > shard_capacity && !shard.lru.empty()) {
-          const Entry& victim = shard.lru.back();
-          if (victim.prefetched) {
-            ++shard.prefetch_wasted;
-            metrics_.prefetch_wasted->Add(1);
-          }
-          shard.bytes -= victim.bytes;
-          metrics_.resident_bytes->Add(-static_cast<double>(victim.bytes));
-          if (governor_ != nullptr) {
-            governor_->AddCacheResident(-static_cast<int64_t>(victim.bytes));
-          }
-          shard.index.erase(victim.key);
-          shard.lru.pop_back();
-        }
+      }
+      Entry& entry = shard.clock.emplace_back(v, value, bytes, prefetched);
+      entry.pos = std::prev(shard.clock.end());
+      table_[v].store(&entry, std::memory_order_release);
+      shard.bytes += bytes;
+      metrics_.resident_bytes->Add(static_cast<double>(bytes));
+      if (governor_ != nullptr) {
+        governor_->AddCacheResident(static_cast<int64_t>(bytes));
       }
     } else if (prefetched) {
       // Fetched but never retained: the prefetch cannot convert a future
@@ -237,6 +302,7 @@ void DbCache::InsertAndPublish(VertexId v, AdjacencyPayload value,
       metrics_.prefetch_wasted->Add(1);
     }
   }
+  Retire(&victims);
   // Publish to waiters only after the flight is unlinked from the shard,
   // so a late Get either sees the cached entry or starts a fresh flight.
   {
@@ -247,6 +313,66 @@ void DbCache::InsertAndPublish(VertexId v, AdjacencyPayload value,
   flight->ready_cv.notify_all();
 }
 
+void DbCache::UnlinkLocked(Shard& shard, std::list<Entry>::iterator it,
+                           std::list<Entry>* victims) {
+  if (it->prefetched.exchange(false, std::memory_order_relaxed)) {
+    ++shard.prefetch_wasted;
+    metrics_.prefetch_wasted->Add(1);
+  }
+  table_[it->key].store(nullptr, std::memory_order_seq_cst);
+  shard.bytes -= it->bytes;
+  metrics_.resident_bytes->Add(-static_cast<double>(it->bytes));
+  if (governor_ != nullptr) {
+    governor_->AddCacheResident(-static_cast<int64_t>(it->bytes));
+  }
+  victims->splice(victims->end(), shard.clock, it);
+}
+
+void DbCache::Retire(std::list<Entry>* victims) {
+  if (victims->empty()) return;
+  {
+    std::lock_guard<std::mutex> lock(retire_mu_);
+    // Every victim is already unlinked, so a reader that pins after this
+    // bump (and sees the new era) cannot reach any of them. Bumping under
+    // the lock keeps retired_ in era order.
+    const uint64_t era = era_.fetch_add(1, std::memory_order_seq_cst);
+    size_t bytes = 0;
+    for (Entry& entry : *victims) {
+      entry.retired_era = era;
+      bytes += entry.bytes;
+    }
+    retired_.splice(retired_.end(), *victims);
+    retired_bytes_.store(retired_bytes_.load(std::memory_order_relaxed) + bytes,
+                         std::memory_order_seq_cst);
+    metrics_.retired_bytes->Add(static_cast<double>(bytes));
+  }
+  Reclaim();
+}
+
+void DbCache::Reclaim() {
+  std::list<Entry> freed;  // destroyed after the lock below is released
+  std::lock_guard<std::mutex> lock(retire_mu_);
+  if (retired_.empty()) return;
+  uint64_t oldest_pin = std::numeric_limits<uint64_t>::max();
+  {
+    std::lock_guard<std::mutex> readers_lock(readers_mu_);
+    for (const auto& slot : readers_) {
+      const uint64_t era = slot->era.load(std::memory_order_seq_cst);
+      if (era != 0 && era < oldest_pin) oldest_pin = era;
+    }
+  }
+  // retired_ is in era order: free its prefix retired before every pin.
+  size_t bytes = 0;
+  auto end = retired_.begin();
+  for (; end != retired_.end() && end->retired_era < oldest_pin; ++end) {
+    bytes += end->bytes;
+  }
+  freed.splice(freed.end(), retired_, retired_.begin(), end);
+  retired_bytes_.store(retired_bytes_.load(std::memory_order_relaxed) - bytes,
+                       std::memory_order_seq_cst);
+  metrics_.retired_bytes->Add(-static_cast<double>(bytes));
+}
+
 void DbCache::PrefetchAsync(const VertexId* keys, size_t count) {
   if (count == 0) return;
   std::vector<VertexId> fresh;
@@ -255,7 +381,9 @@ void DbCache::PrefetchAsync(const VertexId* keys, size_t count) {
     const VertexId v = keys[i];
     Shard& shard = ShardFor(v);
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.index.count(v) != 0) continue;     // already cached
+    if (table_[v].load(std::memory_order_relaxed) != nullptr) {
+      continue;  // already cached
+    }
     if (shard.inflight.count(v) != 0) continue;  // already queued/fetching
     auto flight = std::make_shared<Flight>();
     flight->state.store(kFlightQueued, std::memory_order_relaxed);
@@ -358,26 +486,18 @@ void DbCache::AdvanceEpoch(uint64_t epoch,
   // under the old epoch before the purge (and is purged below). Either
   // way no stale entry survives into the new epoch.
   epoch_.store(epoch, std::memory_order_release);
+  std::list<Entry> victims;
   for (VertexId v : touched) {
+    if (v >= num_vertices_) continue;
     Shard& shard = ShardFor(v);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(v);
-    if (it == shard.index.end()) continue;
-    const Entry& victim = *it->second;
-    if (victim.prefetched) {
-      ++shard.prefetch_wasted;
-      metrics_.prefetch_wasted->Add(1);
-    }
+    Entry* entry = table_[v].load(std::memory_order_relaxed);
+    if (entry == nullptr) continue;
     ++shard.epoch_invalidations;
     metrics_.epoch_invalidations->Add(1);
-    shard.bytes -= victim.bytes;
-    metrics_.resident_bytes->Add(-static_cast<double>(victim.bytes));
-    if (governor_ != nullptr) {
-      governor_->AddCacheResident(-static_cast<int64_t>(victim.bytes));
-    }
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+    UnlinkLocked(shard, entry->pos, &victims);
   }
+  Retire(&victims);
 }
 
 void DbCache::WaitForPrefetches() {
@@ -389,24 +509,26 @@ void DbCache::WaitForPrefetches() {
 
 std::shared_ptr<const VertexSet> DbCache::GetAdjacency(VertexId v,
                                                        bool* was_hit) {
+  Reader reader(this);
+  reader.Pin();
   Reply reply = Get(v);
   if (was_hit != nullptr) *was_hit = reply.outcome == Outcome::kHit;
-  return reply.value.Materialize();
+  return reply.value().Materialize();
 }
 
 DbCacheStats DbCache::stats() const {
   DbCacheStats total;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    total.hits += shard->hits;
     total.misses += shard->misses;
     total.coalesced += shard->coalesced;
     total.prefetches_issued += shard->prefetches_issued;
-    total.prefetch_hits += shard->prefetch_hits;
     total.prefetch_claimed += shard->prefetch_claimed;
     total.prefetch_wasted += shard->prefetch_wasted;
     total.epoch_invalidations += shard->epoch_invalidations;
   }
+  total.hits = hits_.Value();
+  total.prefetch_hits = prefetch_hits_.Value();
   total.prefetch_round_trips =
       prefetch_round_trips_.load(std::memory_order_relaxed);
   total.prefetch_bytes = prefetch_bytes_.load(std::memory_order_relaxed);

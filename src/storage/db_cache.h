@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/types.h"
 #include "graph/vertex_set.h"
 #include "storage/kv_store.h"
@@ -20,12 +21,6 @@ namespace benu {
 
 class MemoryGovernor;
 class ThreadPool;
-
-namespace metrics {
-class Counter;
-class Gauge;
-class Histogram;
-}  // namespace metrics
 
 /// Hit/miss statistics of a database cache. Every lookup is counted in
 /// exactly one bucket: `hits` (served from cache), `misses` (this lookup
@@ -90,11 +85,11 @@ struct DbCacheStats {
 
 /// The local in-memory database cache of §V-A: one per worker machine,
 /// shared by all of the worker's threads, storing adjacency sets fetched
-/// from the distributed database. LRU replacement captures the intra-task
-/// locality of the backtracking search; sharing across threads captures
-/// the inter-task locality of overlapping neighborhoods. Capacity is in
-/// bytes of cached adjacency payload, so experiments can size it relative
-/// to the data graph (Exp-3).
+/// from the distributed database. Recency-based replacement captures the
+/// intra-task locality of the backtracking search; sharing across threads
+/// captures the inter-task locality of overlapping neighborhoods.
+/// Capacity is in bytes of cached adjacency payload, so experiments can
+/// size it relative to the data graph (Exp-3).
 ///
 /// Charge basis: entries are stored exactly as the transport delivered
 /// them — still delta+varint encoded on compressed backends — and each
@@ -104,9 +99,27 @@ struct DbCacheStats {
 /// compression ratio more adjacency sets into the same capacity. The
 /// current total is exported as the `db_cache.resident_bytes` gauge.
 ///
-/// Sharded LRU: the key space is split over independent shards, each with
-/// its own mutex, list and map, so concurrent worker threads do not
-/// serialize on one lock.
+/// Lock-free hits: vertex ids are dense in [0, store->num_vertices()), so
+/// a table of atomic entry pointers indexed by vertex id finds a cached
+/// entry with one load and no lock. A hit writes no shared state except
+/// the entry's CLOCK reference bit, and only when that bit is clear, so
+/// threads hitting the same hot entries keep its cache line shared.
+///
+/// CLOCK replacement: each shard keeps its entries in a ring (a list
+/// whose front is the hand). Making room sweeps the hand: an entry with
+/// its reference bit set has the bit cleared and rotates behind the hand
+/// (its second chance); the first entry with a clear bit is evicted.
+/// CLOCK approximates the paper's LRU without the per-hit list splice a
+/// true LRU needs. Misses, evictions and in-flight bookkeeping stay
+/// under per-shard mutexes.
+///
+/// Borrowed hits, task-scoped reclamation: a hit returns a pointer into
+/// the cache entry instead of a refcounted copy. A caller must hold a
+/// pinned Reader while it uses borrowed replies (PlanExecutor pins one per
+/// thread for the whole of each task). An entry that eviction or
+/// AdvanceEpoch unlinks is retired, not freed: it is freed once every
+/// Reader pinned when it was unlinked has unpinned. The bytes waiting on
+/// such readers are exported as the `db_cache.retired_bytes` gauge.
 ///
 /// Single-flight misses: concurrent lookups of the same absent key are
 /// coalesced — exactly one thread (the primary) queries the distributed
@@ -122,6 +135,9 @@ struct DbCacheStats {
 /// fetching flight coalesces as usual. Prefetch-inserted entries are
 /// tagged so stats can tell converted hits from wasted fetches.
 class DbCache {
+ private:
+  struct ReaderSlot;
+
  public:
   /// How one Get was served.
   enum class Outcome {
@@ -131,12 +147,47 @@ class DbCache {
   };
 
   struct Reply {
+    /// Hits only: the cache entry's payload, borrowed. Valid while the
+    /// caller's Reader stays pinned.
+    const AdjacencyPayload* borrowed = nullptr;
+    /// Misses and coalesced waits: the payload, owned by the reply (the
+    /// cache may not retain it, or may evict it at any time).
+    AdjacencyPayload owned;
+    Outcome outcome = Outcome::kMiss;
+
     /// As delivered by the transport: decoded (raw backends) or still
     /// delta+varint encoded (compressed backends). The executor's fused
     /// kernels consume the encoded form directly; call
-    /// value.Materialize() for a decoded set.
-    AdjacencyPayload value;
-    Outcome outcome = Outcome::kMiss;
+    /// value().Materialize() for a decoded set.
+    const AdjacencyPayload& value() const {
+      return borrowed != nullptr ? *borrowed : owned;
+    }
+  };
+
+  /// A registered reader of borrowed replies. A thread registers one
+  /// Reader and pins it around each unit of work (PlanExecutor: each
+  /// task); every Get it makes must happen while pinned, and every
+  /// borrowed reply stays valid until the matching Unpin. Pin and Unpin
+  /// write only this reader's own cache-line-padded slot; hits write no
+  /// slot at all. One thread uses a Reader at a time, and every Reader
+  /// must be destroyed before its cache.
+  class Reader {
+   public:
+    explicit Reader(DbCache* cache);
+    ~Reader();
+
+    Reader(const Reader&) = delete;
+    Reader& operator=(const Reader&) = delete;
+
+    void Pin();
+    /// Ends the pin; borrowed replies may be freed from here on. Frees
+    /// the retired entries no other pinned reader can still hold.
+    void Unpin();
+
+   private:
+    DbCache* cache_;
+    ReaderSlot* slot_ = nullptr;
+    bool pinned_ = false;
   };
 
   /// `capacity_bytes` == 0 disables caching (every get is a miss that
@@ -161,12 +212,14 @@ class DbCache {
   DbCache(const DbCache&) = delete;
   DbCache& operator=(const DbCache&) = delete;
 
-  /// Returns Γ(v) and how the lookup was served: from cache when present,
-  /// otherwise querying the distributed store (or piggybacking on a
-  /// concurrent in-flight query) and inserting the reply.
+  /// Returns Γ(v) and how the lookup was served: from cache when present
+  /// (borrowed), otherwise querying the distributed store (or
+  /// piggybacking on a concurrent in-flight query) and inserting the
+  /// reply (owned). The calling thread must hold a pinned Reader.
   Reply Get(VertexId v);
 
-  /// Convenience wrapper around Get that materializes the payload.
+  /// Convenience wrapper around Get that materializes the payload; it
+  /// pins a Reader of its own, so it needs none from the caller.
   /// `was_hit`, if non-null, reports whether this call was served from
   /// cache (coalesced waits count as not-hit — the documented
   /// DbCacheStats convention: the caller did wait out a remote round
@@ -200,6 +253,12 @@ class DbCache {
   /// The epoch this cache currently serves.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
+  /// Bytes of unlinked entries still waiting for pinned readers (the
+  /// `db_cache.retired_bytes` gauge, for this cache alone).
+  size_t RetiredBytes() const {
+    return retired_bytes_.load(std::memory_order_relaxed);
+  }
+
   /// Aggregated statistics over all shards.
   DbCacheStats stats() const;
 
@@ -212,14 +271,29 @@ class DbCache {
 
  private:
   struct Entry {
-    VertexId key;
-    AdjacencyPayload value;
+    Entry(VertexId k, AdjacencyPayload v, size_t b, bool p)
+        : key(k), value(std::move(v)), bytes(b), prefetched(p) {}
+
+    const VertexId key;
+    const AdjacencyPayload value;
     /// resident_bytes() + kEntryOverheadBytes, the capacity charge.
-    size_t bytes;
-    /// Inserted by the prefetch pipeline and not yet hit; cleared on the
-    /// first hit (counted as prefetch_hits), counted as prefetch_wasted
-    /// if evicted or dropped while still set.
-    bool prefetched = false;
+    const size_t bytes;
+    /// Inserted by the prefetch pipeline and not yet hit. Whoever clears
+    /// it by exchange settles it exactly once: the first hit (counted as
+    /// prefetch_hits) or the unlink (counted as prefetch_wasted).
+    std::atomic<bool> prefetched;
+    /// CLOCK reference bit: set by hits, cleared by the sweeping hand.
+    std::atomic<bool> referenced{false};
+    /// This entry's node in its shard's ring (then in a retired list;
+    /// splicing keeps the node, so the iterator stays valid).
+    std::list<Entry>::iterator pos;
+    /// Value of `era_` when the entry was retired (under retire_mu_).
+    uint64_t retired_era = 0;
+  };
+  /// One Reader's announcement: the era it pinned at, 0 while unpinned.
+  struct alignas(64) ReaderSlot {
+    std::atomic<uint64_t> era{0};
+    bool in_use = false;  ///< guarded by readers_mu_
   };
   /// One in-flight store query; waiters block on `ready_cv`. `state`
   /// arbitrates who performs the fetch: prefetch flights start kQueued
@@ -239,15 +313,12 @@ class DbCache {
   };
   struct Shard {
     mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recent
-    std::unordered_map<VertexId, std::list<Entry>::iterator> index;
+    std::list<Entry> clock;  // CLOCK ring; the hand is at the front
     std::unordered_map<VertexId, std::shared_ptr<Flight>> inflight;
     size_t bytes = 0;
-    Count hits = 0;
     Count misses = 0;
     Count coalesced = 0;
     Count prefetches_issued = 0;
-    Count prefetch_hits = 0;
     Count prefetch_claimed = 0;
     Count prefetch_wasted = 0;
     Count epoch_invalidations = 0;
@@ -261,11 +332,23 @@ class DbCache {
     return value.resident_bytes() + kEntryOverheadBytes;
   }
 
-  /// Inserts the reply into the LRU (respecting capacity), unlinks the
-  /// flight and publishes the value to waiters.
+  /// Counts a hit on `entry` and borrows its payload.
+  Reply Hit(Entry* entry);
+  /// Inserts the reply into the shard's ring (sweeping the CLOCK hand
+  /// until it fits), unlinks the flight and publishes the value to
+  /// waiters.
   void InsertAndPublish(VertexId v, AdjacencyPayload value,
                         const std::shared_ptr<Flight>& flight,
                         bool prefetched);
+  /// Under shard.mu: removes `it` from the table and the ring and moves
+  /// it to `victims`, to be retired once the lock is dropped.
+  void UnlinkLocked(Shard& shard, std::list<Entry>::iterator it,
+                    std::list<Entry>* victims);
+  /// Tags unlinked entries with the current era, moves them to the
+  /// retired list, then reclaims.
+  void Retire(std::list<Entry>* victims);
+  /// Frees every retired entry that no pinned reader can still hold.
+  void Reclaim();
   /// Drains the pending prefetch queue in batches until it is empty.
   void DrainQueue();
   /// Fetches one batch of queued keys via the store's multi-get and
@@ -281,8 +364,28 @@ class DbCache {
   /// entries are purged, so racing installs see the new epoch first.
   std::atomic<uint64_t> epoch_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// The resident entry of each vertex id, or null. Written under the
+  /// owning shard's mutex; read lock-free by hits.
+  size_t num_vertices_;
+  std::unique_ptr<std::atomic<Entry*>[]> table_;
+  /// Per-cache hit counters, sharded per thread (stats()).
+  metrics::Counter hits_;
+  metrics::Counter prefetch_hits_;
 
-  // Registry mirrors of the per-shard stats (process-wide totals across
+  // Task-scoped reclamation. `era_` advances once per retired batch; a
+  // Reader announces the era it pinned at. An entry retired at era r can
+  // still be held only by readers that announced an era <= r, because
+  // its unlink precedes the bump that readers pinning later observe.
+  // Every access on either side of that handshake is seq_cst, so a
+  // reader's announcement and a retirer's unlink cannot both be missed.
+  std::atomic<uint64_t> era_{1};
+  std::mutex readers_mu_;  ///< guards readers_ and ReaderSlot::in_use
+  std::vector<std::unique_ptr<ReaderSlot>> readers_;
+  std::mutex retire_mu_;  ///< guards retired_; taken before readers_mu_
+  std::list<Entry> retired_;
+  std::atomic<size_t> retired_bytes_{0};
+
+  // Registry mirrors of the per-cache stats (process-wide totals across
   // all caches, `db_cache.*` in docs/metrics.md), resolved once at
   // construction; bumped with relaxed sharded adds next to the legacy
   // counters. The span histograms record fetch/wait latencies and are
@@ -299,6 +402,7 @@ class DbCache {
     metrics::Counter* prefetch_round_trips = nullptr;
     metrics::Counter* prefetch_bytes = nullptr;
     metrics::Gauge* resident_bytes = nullptr;
+    metrics::Gauge* retired_bytes = nullptr;
     metrics::Histogram* sync_fetch_us = nullptr;
     metrics::Histogram* coalesced_wait_us = nullptr;
     metrics::Histogram* batch_fetch_us = nullptr;

@@ -79,23 +79,44 @@ TEST(DbCacheTest, ZeroCapacityNeverCaches) {
   EXPECT_EQ(cache.SizeBytes(), 0u);
 }
 
-TEST(DbCacheTest, LruEvictsColdEntries) {
-  // Capacity for roughly two entries in one shard.
+TEST(DbCacheTest, ClockGivesReferencedEntriesOneSecondChance) {
+  // One shard with room for exactly three entries. The ring is written
+  // hand first; * marks a set reference bit. Making room clears set bits
+  // (rotating those entries behind the hand) and evicts the first entry
+  // whose bit is clear; a new entry joins behind the hand, bit clear.
   Graph g = MakeCycle(8);  // every adjacency has 2 entries
   DistributedKvStore store(g, 1);
   const size_t entry_bytes = 2 * sizeof(VertexId) + 32;
-  DbCache cache(&store, 2 * entry_bytes, /*num_shards=*/1);
-  bool hit = false;
-  cache.GetAdjacency(0, &hit);
-  cache.GetAdjacency(1, &hit);
-  cache.GetAdjacency(0, &hit);  // refresh 0: LRU order is [0, 1]
-  EXPECT_TRUE(hit);
-  cache.GetAdjacency(2, &hit);  // evicts 1
-  cache.GetAdjacency(1, &hit);
-  EXPECT_FALSE(hit);
-  cache.GetAdjacency(0, &hit);  // wait: inserting 1 evicted 0? LRU [2,1]
-  // After inserting 2 the set is {0,2}; fetching 1 evicts 0.
-  EXPECT_FALSE(hit);
+  DbCache cache(&store, 3 * entry_bytes, /*num_shards=*/1);
+  struct Step {
+    VertexId v;
+    bool hit;
+    const char* ring_after;
+  };
+  const Step steps[] = {
+      {0, false, "[0]"},
+      {1, false, "[0 1]"},
+      {2, false, "[0 1 2]"},
+      {0, true, "[0* 1 2]"},
+      {3, false, "[2 0 3]: 0 spends its second chance, 1 is evicted"},
+      {1, false, "[0 3 1]: 2 is evicted"},
+      {2, false, "[3 1 2]: 0 is evicted, its chance already spent"},
+      {3, true, "[3* 1 2]"},
+      {0, false, "[2 3 0]: 3 spends its second chance, 1 is evicted"},
+      {3, true, "[2 3* 0]"},
+      {2, true, "[2* 3* 0]"},
+      {0, true, "[2* 3* 0*]"},
+      {1, false, "[3 0 1]: all spend their chance, then 2 is evicted"},
+      {3, true, "[3* 0 1]"},
+      {0, true, "[3* 0* 1]"},
+      {2, false, "[3 0 2]: 3 and 0 spend their chance, 1 is evicted"},
+  };
+  for (const Step& step : steps) {
+    bool hit = !step.hit;
+    cache.GetAdjacency(step.v, &hit);
+    EXPECT_EQ(hit, step.hit) << "get " << step.v << " -> " << step.ring_after;
+  }
+  EXPECT_EQ(cache.SizeBytes(), 3 * entry_bytes);
 }
 
 TEST(DbCacheTest, CapacityBoundRespected) {
@@ -385,7 +406,7 @@ TEST(DbCacheEpochTest, AdvanceEpochInvalidatesTouchedEntriesOnly) {
   Graph g = MakeCycle(6);
   DistributedKvStore store(g, 1);
   DbCache cache(&store, 1 << 20, /*num_shards=*/1);
-  for (VertexId v = 0; v < 4; ++v) cache.Get(v);
+  for (VertexId v = 0; v < 4; ++v) cache.GetAdjacency(v);
   ASSERT_EQ(cache.stats().misses, 4u);
 
   const VertexId touched[] = {1, 2};
@@ -413,7 +434,7 @@ TEST(DbCacheEpochTest, FetchRacingEpochAdvanceNeverPublishesStale) {
 
   store.Gate();
   std::shared_ptr<const VertexSet> result;
-  std::thread getter([&] { result = cache.Get(2).value.Materialize(); });
+  std::thread getter([&] { result = cache.GetAdjacency(2); });
   SpinUntil([&] { return store.fetches_started() >= 1; });
 
   // The gated fetch already captured the old value {1}; change the
@@ -428,9 +449,36 @@ TEST(DbCacheEpochTest, FetchRacingEpochAdvanceNeverPublishesStale) {
   ASSERT_NE(result, nullptr);
   EXPECT_EQ(*result, (VertexSet{2}));
   EXPECT_GE(store.fetches_started(), 2);  // the refetch actually happened
-  // And the retained entry is the new-epoch value too.
-  EXPECT_EQ(*cache.Get(2).value.Materialize(), (VertexSet{2}));
+  // And the retained entry is the new-epoch value too, served borrowed.
+  DbCache::Reader reader(&cache);
+  reader.Pin();
+  const DbCache::Reply reply = cache.Get(2);
+  ASSERT_EQ(reply.outcome, DbCache::Outcome::kHit);
+  ASSERT_NE(reply.borrowed, nullptr);
+  EXPECT_EQ(*reply.value().decoded, (VertexSet{2}));
   EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(DbCacheEpochTest, InvalidatedEntryOutlivesThePinThatBorrowedIt) {
+  // A pinned reader's borrowed hit stays readable after AdvanceEpoch
+  // unlinks the entry; the entry is freed at the reader's unpin.
+  Graph g = MakeStar(6);
+  DistributedKvStore store(g, 1);
+  DbCache cache(&store, 1 << 20, /*num_shards=*/1);
+  cache.GetAdjacency(0);
+  DbCache::Reader reader(&cache);
+  reader.Pin();
+  const DbCache::Reply reply = cache.Get(0);
+  ASSERT_NE(reply.borrowed, nullptr);
+
+  const VertexId touched[] = {0};
+  cache.AdvanceEpoch(1, touched);
+  EXPECT_EQ(cache.SizeBytes(), 0u);
+  EXPECT_GT(cache.RetiredBytes(), 0u);
+  EXPECT_EQ(*reply.value().decoded, (VertexSet{1, 2, 3, 4, 5, 6}));
+
+  reader.Unpin();
+  EXPECT_EQ(cache.RetiredBytes(), 0u);
 }
 
 TEST(DbCacheEpochTest, StalePrefetchCountsAsWastedAndIsDropped) {

@@ -209,15 +209,28 @@ TEST(ExecutorTest, DirectProviderIsZeroCopy) {
   }
 }
 
-TEST(ExecutorTest, CachedProviderViewAliasesOwnedPayload) {
+TEST(ExecutorTest, CachedProviderOwnsMissesAndBorrowsHits) {
   Graph data = MakeClique(5);
   DistributedKvStore store(data, 4);
   DbCache cache(&store, 1u << 20);
   CachedAdjacencyProvider provider(&cache, data.NumVertices());
-  AdjacencyProvider::Fetch fetch = provider.GetAdjacency(2);
-  ASSERT_NE(fetch.set, nullptr);
-  EXPECT_EQ(fetch.view.data, fetch.set->data());
-  EXPECT_EQ(fetch.view.size, fetch.set->size());
+  auto reader = provider.NewReader();
+  ASSERT_NE(reader, nullptr);
+  reader->Pin();
+  // The miss hands over an owned payload that the view aliases.
+  AdjacencyProvider::Fetch miss = provider.GetAdjacency(2);
+  ASSERT_FALSE(miss.cache_hit);
+  ASSERT_NE(miss.set, nullptr);
+  EXPECT_EQ(miss.view.data, miss.set->data());
+  EXPECT_EQ(miss.view.size, miss.set->size());
+  // The hit borrows the cache entry: no owner, same storage.
+  AdjacencyProvider::Fetch hit = provider.GetAdjacency(2);
+  ASSERT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.set, nullptr);
+  EXPECT_EQ(hit.encoded_owner, nullptr);
+  EXPECT_EQ(hit.view.data, miss.set->data());
+  EXPECT_EQ(hit.view.size, miss.set->size());
+  reader->Unpin();
 }
 
 TEST(ExecutorTest, CreateRejectsTrcWithoutCache) {

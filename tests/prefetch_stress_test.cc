@@ -216,9 +216,11 @@ TEST(PrefetchTest, EvictedUnusedPrefetchCountsAsWasted) {
   const VertexId keys[] = {0, 1};
   cache.PrefetchAsync(keys, 2);
   bool hit = false;
-  cache.GetAdjacency(0, &hit);  // converts 0; LRU order now [0, 1]
+  cache.GetAdjacency(0, &hit);  // converts 0 and sets its reference bit
   EXPECT_TRUE(hit);
-  cache.GetAdjacency(4, &hit);  // evicts 1, which never served a hit
+  // CLOCK gives 0 its second chance and evicts 1, which never served a
+  // hit.
+  cache.GetAdjacency(4, &hit);
   DbCacheStats stats = cache.stats();
   EXPECT_EQ(stats.prefetch_hits, 1u);
   EXPECT_EQ(stats.prefetch_wasted, 1u);

@@ -582,6 +582,45 @@ TEST(ServiceServerTest, MalformedQueryFrameDoesNotPoisonSession) {
   net::CloseFd(*fd);
 }
 
+TEST(ServiceServerTest, StatsRequestIsRefusedAndSessionKeepsServing) {
+  // The service serves no kStatsRequest (that frame is the KV server's):
+  // it answers a tagged kError, and the connection keeps serving queries.
+  const Graph data = std::move(GenerateErdosRenyi(150, 1200, 41)).value();
+  ServiceConfig config;
+  config.execution_threads = 2;
+  auto server = StartServer(data, config);
+  auto fd = net::TcpConnect("127.0.0.1", server->port(), 5000);
+  ASSERT_TRUE(fd.ok());
+
+  std::vector<uint8_t> stats;
+  wire::AppendStatsRequest(&stats);
+  wire::SetFrameTag(stats, 7);
+  ASSERT_TRUE(net::WriteAll(*fd, stats, 5000).ok());
+  std::vector<uint8_t> reply;
+  ASSERT_TRUE(net::ReadWireFrame(*fd, &reply, 5000).ok());
+  auto frame = wire::DecodeFrame(reply);
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(frame->header.type, wire::MessageType::kError);
+  EXPECT_EQ(wire::FrameTag(reply), 7);
+  EXPECT_EQ(wire::DecodeError(*frame).code(), StatusCode::kInvalidArgument);
+
+  wire::QuerySpec spec;
+  spec.pattern = "q5";
+  std::vector<uint8_t> query;
+  wire::AppendQueryRequest(spec, &query);
+  wire::SetFrameTag(query, 8);
+  ASSERT_TRUE(net::WriteAll(*fd, query, 5000).ok());
+  ASSERT_TRUE(net::ReadWireFrame(*fd, &reply, 10000).ok());
+  frame = wire::DecodeFrame(reply);
+  ASSERT_TRUE(frame.ok());
+  ASSERT_EQ(frame->header.type, wire::MessageType::kQueryResult);
+  EXPECT_EQ(wire::FrameTag(reply), 8);
+  auto info = wire::DecodeQueryResult(*frame);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->matches, SoloCount(data, "q5"));
+  net::CloseFd(*fd);
+}
+
 TEST(ServiceServerTest, ProgressFramesArriveForLongQueries) {
   const Graph data = std::move(GenerateErdosRenyi(300, 6000, 37)).value();
   ServiceConfig config;
