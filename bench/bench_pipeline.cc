@@ -6,14 +6,16 @@
 // locality) with a deliberately small DB cache, and compares the cluster's
 // virtual execution time across three pipeline modes:
 //
-//   sync        prefetch_budget = 0 — the seed behaviour: every cache
-//               miss is a synchronous store round trip on the task's
-//               critical path;
-//   forced-sync prefetch issued but drained inline on the enumerating
-//               thread (force_sync_prefetch) — batching amortizes round
-//               trips, but nothing overlaps compute;
-//   async       background fetchers drain batched multi-gets while the
-//               executor descends — round trips amortized AND overlapped.
+//   sync        prefetch_budget = 0 — the paper's per-miss DBQ: every
+//               cache miss is a synchronous store round trip on the
+//               task's critical path;
+//   inline      lookahead drained in batched multi-gets on the
+//               enumerating thread (the ClusterConfig default) —
+//               batching amortizes round trips, but nothing overlaps
+//               compute;
+//   async       background fetchers (async_prefetch) drain batched
+//               multi-gets while the executor descends — round trips
+//               amortized AND overlapped.
 //
 // Acceptance shape: at nonzero latency, async with a real batch size must
 // beat sync end to end (virtual_seconds), and every configuration —
@@ -63,11 +65,11 @@ int main() {
   struct Mode {
     const char* name;
     size_t budget;
-    bool force_sync;
+    bool async;
   };
   const Mode modes[] = {{"sync", 0, false},
-                        {"forced-sync", 64, true},
-                        {"async", 64, false}};
+                        {"inline", 64, false},
+                        {"async", 64, true}};
   const std::vector<double> latencies =
       SmokeScale() ? std::vector<double>{100.0}
                    : std::vector<double>{0.0, 100.0, 1000.0};
@@ -83,7 +85,7 @@ int main() {
     config.db_query_latency_us = latency_us;
     config.prefetch_budget = mode.budget;
     config.prefetch_batch_size = batch;
-    config.force_sync_prefetch = mode.force_sync;
+    config.async_prefetch = mode.async;
     ClusterSimulator cluster(data, config);
     auto result = cluster.Run(plan->plan);
     BENU_CHECK(result.ok()) << result.status().ToString();
@@ -200,7 +202,7 @@ int main() {
   // headroom, converting synchronous misses into overlapped pipeline
   // traffic. Acceptance: >78% of all virtual communication hidden at
   // 1ms latency, with the match count bit-identical to pure DFS across
-  // every degraded mode (forced-sync drain, forced-scalar kernels,
+  // every degraded mode (inline drain, forced-scalar kernels,
   // compression off).
   {
     const double latency = 1000.0;
@@ -208,7 +210,7 @@ int main() {
     // leaves the governor ~3/4 headroom in steady state — wide batches,
     // but still a real ceiling the frontier regions lease against.
     const size_t memory_budget = 4 * cache_bytes;
-    auto run_hybrid = [&](ExpansionMode expansion, bool force_sync,
+    auto run_hybrid = [&](ExpansionMode expansion, bool async,
                           bool compress) {
       ClusterConfig config;
       config.num_workers = 4;
@@ -218,7 +220,7 @@ int main() {
       config.db_query_latency_us = latency;
       config.prefetch_budget = 64;
       config.prefetch_batch_size = 16;
-      config.force_sync_prefetch = force_sync;
+      config.async_prefetch = async;
       config.compress_adjacency = compress;
       config.expansion = expansion;
       config.memory_budget_bytes = memory_budget;
@@ -227,7 +229,7 @@ int main() {
       BENU_CHECK(result.ok()) << result.status().ToString();
       BENU_CHECK(result->total_matches == reference_matches)
           << (expansion == ExpansionMode::kHybrid ? "hybrid" : "dfs")
-          << (force_sync ? " forced-sync" : "")
+          << (async ? "" : " inline")
           << (compress ? "" : " compression-off")
           << " changed the match count: " << result->total_matches << " vs "
           << reference_matches;
@@ -235,9 +237,9 @@ int main() {
     };
 
     const ClusterRunResult dfs_run =
-        run_hybrid(ExpansionMode::kDfs, false, true);
+        run_hybrid(ExpansionMode::kDfs, true, true);
     const ClusterRunResult hybrid_run =
-        run_hybrid(ExpansionMode::kHybrid, false, true);
+        run_hybrid(ExpansionMode::kHybrid, true, true);
     std::printf(
         "\nHybrid expansion (budget %s, 1ms latency):\n"
         "  %-24s %12s %12s %9s %12s\n",
@@ -286,14 +288,14 @@ int main() {
     // adjacency frames. The batched drain visits candidates in exactly
     // the DFS order, so all of these are CHECKed bit-identical inside
     // run_hybrid.
-    run_hybrid(ExpansionMode::kHybrid, true, true);
+    run_hybrid(ExpansionMode::kHybrid, false, true);
     const bool simd_at_start = simd::SimdEnabled();
     simd::SetSimdEnabled(false);
-    run_hybrid(ExpansionMode::kHybrid, false, true);
+    run_hybrid(ExpansionMode::kHybrid, true, true);
     simd::SetSimdEnabled(simd_at_start);
-    run_hybrid(ExpansionMode::kHybrid, false, false);
+    run_hybrid(ExpansionMode::kHybrid, true, false);
     std::printf(
-        "forced-sync, forced-scalar and compression-off hybrid runs: %s "
+        "inline, forced-scalar and compression-off hybrid runs: %s "
         "matches — identical\n",
         HumanCount(reference_matches).c_str());
   }
@@ -301,12 +303,12 @@ int main() {
   // ------------------------------------------------------------------
   // Compression sweep: the delta+varint adjacency codec on vs off over
   // the same q5 workload. Compression must never change the match count
-  // (including forced-scalar and forced-sync-prefetch runs) and must win
+  // (including forced-scalar and inline-prefetch runs) and must win
   // end to end at 1ms simulated store latency: encoded frames shrink the
   // modeled bandwidth term AND the same cache budget holds ~3x more
   // vertices, so fewer misses pay the 1ms round trip.
   {
-    auto run_codec = [&](double latency_us, bool compress, bool force_sync) {
+    auto run_codec = [&](double latency_us, bool compress, bool async) {
       ClusterConfig config;
       config.num_workers = 4;
       config.threads_per_worker = 4;
@@ -315,14 +317,14 @@ int main() {
       config.db_query_latency_us = latency_us;
       config.prefetch_budget = 64;
       config.prefetch_batch_size = 16;
-      config.force_sync_prefetch = force_sync;
+      config.async_prefetch = async;
       config.compress_adjacency = compress;
       ClusterSimulator cluster(data, config);
       auto result = cluster.Run(plan->plan);
       BENU_CHECK(result.ok()) << result.status().ToString();
       BENU_CHECK(result->total_matches == reference_matches)
           << (compress ? "compressed" : "raw") << " lat=" << latency_us
-          << (force_sync ? " forced-sync" : "")
+          << (async ? "" : " inline")
           << " changed the match count: " << result->total_matches << " vs "
           << reference_matches;
       return *std::move(result);
@@ -338,8 +340,8 @@ int main() {
     std::printf("  %-26s %12s %10s %12s %10s %12s\n", "config", "virt-time",
                 "vs-raw", "bytes", "ratio", "db-queries");
     for (double latency_us : codec_latencies) {
-      const ClusterRunResult raw_run = run_codec(latency_us, false, false);
-      const ClusterRunResult comp_run = run_codec(latency_us, true, false);
+      const ClusterRunResult raw_run = run_codec(latency_us, false, true);
+      const ClusterRunResult comp_run = run_codec(latency_us, true, true);
       const double ratio =
           static_cast<double>(total_bytes(raw_run)) /
           std::max(1.0, static_cast<double>(total_bytes(comp_run)));
@@ -391,11 +393,11 @@ int main() {
     // the same subgraphs from compressed payloads (checked in run_codec).
     const bool simd_at_start = simd::SimdEnabled();
     simd::SetSimdEnabled(false);
-    run_codec(codec_latencies.back(), true, false);
-    simd::SetSimdEnabled(simd_at_start);
     run_codec(codec_latencies.back(), true, true);
+    simd::SetSimdEnabled(simd_at_start);
+    run_codec(codec_latencies.back(), true, false);
     std::printf(
-        "forced-scalar and forced-sync compressed runs: %s matches — "
+        "forced-scalar and inline-drained compressed runs: %s matches — "
         "identical\n",
         HumanCount(reference_matches).c_str());
   }
@@ -415,6 +417,7 @@ int main() {
     wire_options.cluster.db_cache_bytes = cache_bytes;
     wire_options.cluster.task_split_threshold = 100;
     wire_options.cluster.prefetch_budget = 16;
+    wire_options.cluster.async_prefetch = true;
     wire_options.relabel_by_degree = false;  // data is already relabeled
 
     auto bytes_over = [&](std::shared_ptr<Transport> transport) {
@@ -604,6 +607,7 @@ int main() {
     demo_options.cluster.db_cache_bytes = 4096;  // keep traffic flowing
     demo_options.cluster.task_split_threshold = 100;
     demo_options.cluster.prefetch_budget = 16;
+    demo_options.cluster.async_prefetch = true;
     demo_options.relabel_by_degree = false;
     auto sim_run = RunBenu(demo_graph, demo_pattern, demo_options);
     BENU_CHECK(sim_run.ok()) << sim_run.status().ToString();
@@ -674,7 +678,7 @@ int main() {
       "\nShape check: hidden-comm grows with latency under async (the\n"
       "pipeline moves round trips off the critical path); batch 16 beats\n"
       "batch 1 by amortizing one round trip per partition per batch; and\n"
-      "forced-sync sits between sync and async — it batches but cannot\n"
+      "inline sits between sync and async — it batches but cannot\n"
       "overlap.\n");
   return 0;
 }

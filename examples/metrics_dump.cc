@@ -43,10 +43,9 @@ int main() {
   options.cluster.max_runtime_threads = 1;
   options.cluster.db_cache_bytes = 8u << 20;
   options.cluster.task_split_threshold = 500;
-  // Exercise the prefetch pipeline deterministically (forced-sync: the
-  // batched multi-gets drain inline on the enumerating thread).
-  options.cluster.prefetch_budget = 64;
-  options.cluster.force_sync_prefetch = true;
+  // The default lookahead exercises the prefetch pipeline
+  // deterministically: its batched multi-gets drain inline on the
+  // enumerating thread.
   // Governed hybrid expansion under a finite budget, so the dump also
   // shows the memory.governor.* instruments in action (frontier leases,
   // pinned high-water) — the per-instruction span invariant below must

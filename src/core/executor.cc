@@ -314,10 +314,11 @@ Status PlanExecutor::Compile() {
     code_.push_back(std::move(c));
   }
   // ENU→DBQ consumption analysis: an ENU whose enumerated vertex is the
-  // source of a downstream DBQ is worth prefetching — while level i
-  // enumerates (intersections, filters, deeper descent), the adjacency
-  // sets its candidates need at the DBQ are fetched in the background,
-  // overlapping level-(i+1) fetch latency with level-i compute.
+  // source of a downstream DBQ is worth prefetching: the adjacency sets
+  // its candidates need at the DBQ are fetched ahead in batched
+  // multi-gets — inline before level i descends (the default), or in
+  // the background, overlapping level-(i+1) fetch latency with level-i
+  // compute.
   for (size_t i = 0; i < code_.size(); ++i) {
     if (code_[i].type != InstrType::kEnumerate) continue;
     for (size_t j = i + 1; j < code_.size(); ++j) {
@@ -559,8 +560,8 @@ void PlanExecutor::Exec(size_t pc) {
           ExecEnumerateBatched(ins, candidates, begin, end, pc + 1);
         } else {
           if (ins.prefetch_hint && begin < end) {
-            // Kick off the batched background fetch for the adjacency
-            // sets this enumeration is about to query (the provider
+            // Fetch ahead, batched, the adjacency sets this
+            // enumeration is about to query (the provider
             // clamps to its prefetch budget; a no-op for providers
             // without one).
             provider_->Prefetch(candidates.begin() + begin, end - begin);

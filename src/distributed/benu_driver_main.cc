@@ -44,9 +44,12 @@
 //   --memory-budget-mb=N  process-wide budget the memory governor holds
 //                         cache residency + frontier regions under
 //                         (0 = unbounded)
-//   --prefetch-budget=N   base per-ENU prefetch budget in keys (0 = no
-//                         prefetching); the governor widens it with
-//                         headroom under --expansion=hybrid
+//   --prefetch-budget=N   base per-ENU lookahead budget in keys,
+//                         fetched in batched multi-gets before the ENU
+//                         descends (default: ClusterConfig's; 0 = one
+//                         synchronous store query per cache miss); the
+//                         governor widens it with headroom under
+//                         --expansion=hybrid
 //
 // Spawned servers can never outlive the driver: children ask the kernel
 // for SIGKILL on parent death (PR_SET_PDEATHSIG) and an atexit handler
@@ -78,7 +81,7 @@ using namespace benu;
 struct ExecutionKnobs {
   ExpansionMode expansion = ExpansionMode::kDfs;
   size_t memory_budget_bytes = 0;
-  size_t prefetch_budget = 0;
+  size_t prefetch_budget = ClusterConfig{}.prefetch_budget;
 };
 
 Count RunOnce(const Graph& graph, const Graph& pattern,
@@ -153,8 +156,8 @@ int main(int argc, char** argv) {
   }
   knobs.memory_budget_bytes =
       flags::SizeValue(argc, argv, "--memory-budget-mb", 0) << 20;
-  knobs.prefetch_budget =
-      flags::SizeValue(argc, argv, "--prefetch-budget", 0);
+  knobs.prefetch_budget = flags::SizeValue(argc, argv, "--prefetch-budget",
+                                           knobs.prefetch_budget);
 
   auto graph_or = GenerateFromSpec(graph_spec);
   BENU_CHECK(graph_or.ok()) << "--graph=" << graph_spec << ": "

@@ -78,14 +78,15 @@ StatusOr<ClusterRunResult> ClusterSimulator::Run(
                                                 config_.prefetch_batch_size);
   }
 
-  // Background fetchers for the asynchronous adjacency pipeline live on
-  // their own pool: drain jobs must not queue behind the execution
+  // Background fetchers of the opt-in asynchronous pipeline
+  // (ClusterConfig::async_prefetch; by default each cache drains its
+  // lookahead batches inline on the enumerating thread) live on their
+  // own pool: drain jobs must not queue behind the execution
   // threads that block waiting for the very flights those jobs publish.
   // Declared before the workers so it outlives (and can still run the
   // jobs of) every cache during teardown.
   const bool prefetch_enabled = config_.prefetch_budget > 0;
-  const bool async_prefetch =
-      prefetch_enabled && !config_.force_sync_prefetch;
+  const bool async_prefetch = prefetch_enabled && config_.async_prefetch;
   std::unique_ptr<ThreadPool> fetch_pool;
   if (async_prefetch) {
     const unsigned hw = std::thread::hardware_concurrency();

@@ -55,20 +55,23 @@ struct ClusterConfig {
   double db_query_latency_us = 100.0;
   /// Simulated network bandwidth, bytes per µs (125 ≈ 1 Gbps).
   double network_bytes_per_us = 125.0;
-  /// Max candidates per ENU instruction handed to the asynchronous
-  /// adjacency-prefetch pipeline before descending (§2d of DESIGN.md).
-  /// 0 disables prefetching: every cache miss is a synchronous store
-  /// round trip, the seed behaviour.
-  size_t prefetch_budget = 0;
-  /// Max keys per batched multi-get a background fetcher drains at once:
-  /// the store charges one round-trip latency per partition per batch,
-  /// so larger batches amortize latency (bytes are unchanged).
+  /// Max candidates per ENU instruction whose adjacency sets are fetched
+  /// ahead, in batched multi-gets, before the ENU descends (§2d of
+  /// DESIGN.md). 0 disables lookahead: every cache miss is a synchronous
+  /// store round trip — the paper's per-miss DBQ, which the virtual-time
+  /// benches pin.
+  size_t prefetch_budget = 64;
+  /// Max keys per batched multi-get: the TCP transport pipelines a batch
+  /// as one write per server, and the store charges one round-trip
+  /// latency per partition per batch, so larger batches amortize
+  /// latency (bytes are unchanged).
   size_t prefetch_batch_size = 16;
-  /// Run the prefetch pipeline synchronously inline on the enumerating
-  /// thread (no background fetchers). Deterministic debug/validation
-  /// mode: identical fetch behaviour and match counts, but no overlap —
-  /// prefetch communication is charged unhidden.
-  bool force_sync_prefetch = false;
+  /// Hand lookahead batches to a background fetcher pool instead of
+  /// draining them inline on the enumerating thread (the default).
+  /// Identical fetches and match counts; the virtual-time model hides
+  /// the pool's communication behind compute, while the inline drain is
+  /// charged unhidden.
+  bool async_prefetch = false;
   /// ENU expansion mode of every executor (core/executor.h). kDfs is the
   /// seed behaviour; kHybrid materializes governor-leased frontier
   /// batches for wide prefetches and spills back to DFS near the memory
@@ -165,14 +168,14 @@ struct ClusterRunResult {
   Count coalesced_fetches = 0;
   /// Work-stealing claims across all workers' threads.
   Count steals = 0;
-  /// Asynchronous adjacency-pipeline counters, summed over the workers'
-  /// DB caches (0 when prefetch_budget == 0).
+  /// Adjacency-lookahead counters, summed over the workers' DB caches
+  /// (0 when prefetch_budget == 0).
   Count prefetches_issued = 0;
   /// Prefetched entries that converted a would-be miss into a hit.
   Count prefetch_hits = 0;
   /// Prefetched entries evicted (or never retained) without a hit.
   Count prefetch_wasted = 0;
-  /// Round trips of the batched background fetches (one per partition
+  /// Round trips of the batched lookahead fetches (one per partition
   /// per batch) and their payload bytes. Prefetch bytes are NOT included
   /// in bytes_fetched (which counts synchronous task fetches); total
   /// communication volume is bytes_fetched + prefetch_bytes.

@@ -73,7 +73,7 @@ void AccumulateWorker(const WorkerExecution& worker,
   // bytes over the bandwidth. Running asynchronously, it overlaps the
   // compute makespan — the hidden portion never reaches the critical
   // path; only the residual (a comm-bound worker) extends it. The
-  // forced-sync mode drains the queue on the enumerating threads, so
+  // inline drain (the default) fetches on the enumerating threads, so
   // nothing is hidden and the full pipeline cost is serialized.
   const double prefetch_comm_us =
       static_cast<double>(summary.cache.prefetch_round_trips) *
@@ -135,7 +135,7 @@ void PublishRunMetrics(const ClusterRunResult& result) {
   counter("cluster.steals", "1", "work-stealing claims across all workers",
           result.steals);
   counter("cluster.prefetches_issued", "1",
-          "keys handed to the async adjacency pipeline",
+          "keys handed to the adjacency lookahead pipeline",
           result.prefetches_issued);
   counter("cluster.prefetch_hits", "1",
           "prefetched entries that converted a would-be miss into a hit",
@@ -144,7 +144,7 @@ void PublishRunMetrics(const ClusterRunResult& result) {
           "prefetched entries evicted or dropped without a hit",
           result.prefetch_wasted);
   counter("cluster.prefetch_round_trips", "1",
-          "round trips of batched background fetches",
+          "round trips of batched lookahead fetches",
           result.prefetch_round_trips);
   counter("cluster.prefetch_bytes", "bytes",
           "payload bytes fetched by the prefetch pipeline",

@@ -49,7 +49,7 @@ DbCache::DbCache(const DistributedKvStore* store, size_t capacity_bytes,
       "entries evicted by AdvanceEpoch's precise invalidation");
   metrics_.prefetch_round_trips = registry.GetCounter(
       "db_cache.prefetch_round_trips", "1",
-      "round trips of batched background fetches (1/partition/batch)");
+      "round trips of batched lookahead fetches (1/partition/batch)");
   metrics_.prefetch_bytes = registry.GetCounter(
       "db_cache.prefetch_bytes", "bytes",
       "payload bytes fetched by the prefetch pipeline");
@@ -69,7 +69,7 @@ DbCache::DbCache(const DistributedKvStore* store, size_t capacity_bytes,
       "time a coalesced lookup waited on a sibling's flight (traced)");
   metrics_.batch_fetch_us = registry.GetHistogram(
       "db_cache.batch_fetch.us", "us",
-      "latency of one batched background multi-get (traced)");
+      "latency of one batched lookahead multi-get (traced)");
 }
 
 DbCache::~DbCache() {
@@ -374,17 +374,20 @@ void DbCache::Reclaim() {
 }
 
 void DbCache::PrefetchAsync(const VertexId* keys, size_t count) {
-  if (count == 0) return;
   std::vector<VertexId> fresh;
-  fresh.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     const VertexId v = keys[i];
+    // Resident keys — every key on a warm cache — cost one lock-free
+    // load: no shard lock, no allocation. The key is only a hint, so an
+    // entry evicted right after this load is simply not fetched ahead.
+    if (table_[v].load(std::memory_order_relaxed) != nullptr) continue;
     Shard& shard = ShardFor(v);
     std::lock_guard<std::mutex> lock(shard.mu);
     if (table_[v].load(std::memory_order_relaxed) != nullptr) {
-      continue;  // already cached
+      continue;  // landed since the probe
     }
     if (shard.inflight.count(v) != 0) continue;  // already queued/fetching
+    if (fresh.empty()) fresh.reserve(count - i);
     auto flight = std::make_shared<Flight>();
     flight->state.store(kFlightQueued, std::memory_order_relaxed);
     flight->epoch.store(epoch_.load(std::memory_order_acquire),
@@ -411,8 +414,9 @@ void DbCache::PrefetchAsync(const VertexId* keys, size_t count) {
       if (--active_jobs_ == 0) prefetch_idle_cv_.notify_all();
     });
   } else if (fetch_pool_ == nullptr) {
-    // Forced-sync mode: no background fetcher — drain inline, still
-    // through the batched multi-get (deterministic, no overlap).
+    // No background fetcher (the default): drain inline on the calling
+    // thread, still through the batched multi-get (deterministic, no
+    // overlap).
     DrainQueue();
   }
 }

@@ -127,9 +127,10 @@ struct DbCacheStats {
 /// reply, so N racing threads cost one remote query instead of N.
 ///
 /// Prefetch pipeline (§2d of DESIGN.md): PrefetchAsync enqueues absent
-/// keys as *queued* flights into a pending queue drained by fetcher jobs
-/// on `fetch_pool` through the store's batched multi-get — one round trip
-/// per partition per batch. A Get racing a queued flight claims it (CAS
+/// keys as *queued* flights into a pending queue drained through the
+/// store's batched multi-get — one round trip per partition per batch —
+/// inline on the calling thread, or by fetcher jobs on `fetch_pool` when
+/// one is given. A Get racing a queued flight claims it (CAS
 /// on the flight state) and fetches synchronously, so prefetching can
 /// never deadlock even if no fetcher ever runs; a Get racing an already
 /// fetching flight coalesces as usual. Prefetch-inserted entries are
@@ -193,9 +194,9 @@ class DbCache {
   /// `capacity_bytes` == 0 disables caching (every get is a miss that
   /// goes to the store and is not retained; concurrent misses still
   /// coalesce). `fetch_pool`, when non-null, services PrefetchAsync in
-  /// the background and must outlive the cache; when null, PrefetchAsync
-  /// drains synchronously before returning (the forced-sync mode —
-  /// batched, deterministic, but no overlap). `prefetch_batch_size` caps
+  /// the background and must outlive the cache; when null (the default),
+  /// PrefetchAsync drains inline before returning — batched and
+  /// deterministic, but no overlap. `prefetch_batch_size` caps
   /// the keys per batched multi-get a fetcher drains at once; with a
   /// `governor` it is the base of the governor's headroom-scaled dynamic
   /// batch size, and every insert/evict reports its resident-byte delta
@@ -227,9 +228,10 @@ class DbCache {
   std::shared_ptr<const VertexSet> GetAdjacency(VertexId v,
                                                 bool* was_hit = nullptr);
 
-  /// Non-blocking: enqueues every key that is neither cached nor already
-  /// in flight for background fetching and returns immediately (with a
-  /// null fetch pool, drains the queue inline before returning). Safe to
+  /// Enqueues every key that is neither cached nor already in flight and
+  /// drains the queue inline in batched multi-gets before returning, or,
+  /// with a fetch pool, hands it to a background fetcher and returns
+  /// immediately. Resident keys cost one lock-free load each. Safe to
   /// call concurrently with Get on the same keys — single-flight holds
   /// across both paths, so the store sees at most one query per distinct
   /// key while it stays cached.

@@ -110,8 +110,8 @@ TEST(ClusterTest, PrefetchPipelinePreservesCountsOnDbqHeavyPlans) {
   // DBQ-heavy regression: q9 and the 5-clique with a capacity-0 cache —
   // every adjacency request is a store fetch, so the prefetch pipeline is
   // maximally exercised (nothing it inserts is ever retained). Match
-  // counts must be bit-identical across the synchronous baseline, the
-  // forced-sync pipeline and the async pipeline.
+  // counts must be bit-identical across the per-miss synchronous
+  // baseline, the inline lookahead drain and the async pipeline.
   auto raw = GenerateBarabasiAlbert(120, 5, 41);
   ASSERT_TRUE(raw.ok());
   Graph data = raw->RelabelByDegree();
@@ -122,15 +122,15 @@ TEST(ClusterTest, PrefetchPipelinePreservesCountsOnDbqHeavyPlans) {
 
     ClusterConfig sync = SmallCluster();
     sync.db_cache_bytes = 0;
-    ClusterConfig forced = sync;
-    forced.prefetch_budget = 32;
-    forced.force_sync_prefetch = true;
-    ClusterConfig async = sync;
-    async.prefetch_budget = 32;
+    sync.prefetch_budget = 0;
+    ClusterConfig inline_drain = sync;
+    inline_drain.prefetch_budget = 32;
+    ClusterConfig async = inline_drain;
+    async.async_prefetch = true;
 
     Count reference = 0;
     bool first = true;
-    for (const ClusterConfig* config : {&sync, &forced, &async}) {
+    for (const ClusterConfig* config : {&sync, &inline_drain, &async}) {
       ClusterSimulator cluster(data, *config);
       auto result = cluster.Run(plan->plan);
       ASSERT_TRUE(result.ok()) << name;
@@ -143,7 +143,7 @@ TEST(ClusterTest, PrefetchPipelinePreservesCountsOnDbqHeavyPlans) {
         EXPECT_EQ(result->total_matches, reference) << name;
         EXPECT_GT(result->prefetches_issued, 0u) << name;
       }
-      if (config == &forced) {
+      if (config == &inline_drain) {
         EXPECT_EQ(result->hidden_comm_seconds, 0.0) << name;
       }
     }
@@ -164,9 +164,11 @@ TEST(ClusterTest, AsyncPrefetchHidesCommunicationAtHighLatency) {
   ClusterConfig sync = SmallCluster();
   sync.db_cache_bytes = 4 << 10;  // small: constant miss pressure
   sync.db_query_latency_us = 1000.0;
+  sync.prefetch_budget = 0;
   ClusterConfig async = sync;
   async.prefetch_budget = 64;
   async.prefetch_batch_size = 16;
+  async.async_prefetch = true;
 
   ClusterSimulator a(data, sync);
   ClusterSimulator b(data, async);
@@ -201,6 +203,7 @@ TEST(ClusterTest, HybridExpansionPreservesCountsInEveryRegime) {
     ClusterConfig dfs = SmallCluster();
     dfs.db_cache_bytes = 64 << 10;
     dfs.prefetch_budget = 16;
+    dfs.async_prefetch = true;
 
     ClusterConfig generous = dfs;
     generous.expansion = ExpansionMode::kHybrid;
@@ -246,6 +249,7 @@ TEST(ClusterTest, OverlapFractionIsConsistentWithItsParts) {
   async.db_cache_bytes = 4 << 10;
   async.db_query_latency_us = 500.0;
   async.prefetch_budget = 32;
+  async.async_prefetch = true;
   ClusterSimulator cluster(data, async);
   auto result = cluster.Run(plan->plan);
   ASSERT_TRUE(result.ok());
@@ -277,28 +281,43 @@ TEST(ClusterTest, StatsAreInternallyConsistent) {
   Graph p = std::move(GetPattern("triangle")).value();
   auto plan = GenerateBestPlan(p, DataGraphStats::FromGraph(data));
   ASSERT_TRUE(plan.ok());
-  ClusterSimulator cluster(data, SmallCluster());
-  auto result = cluster.Run(plan->plan);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->adjacency_requests, result->cache_hits +
-                                            result->db_queries +
-                                            result->coalesced_fetches);
-  EXPECT_EQ(result->task_virtual_us.size(), result->num_tasks);
-  size_t tasks_across_workers = 0;
-  Count coalesced_in_caches = 0;
-  for (const WorkerSummary& w : result->workers) {
-    tasks_across_workers += w.tasks;
-    coalesced_in_caches += w.cache.coalesced;
-    EXPECT_LE(w.makespan_virtual_us, w.busy_virtual_us + 1e-6);
-    EXPECT_GT(w.real_seconds, 0.0);
-    EXPECT_LE(w.real_seconds, result->real_seconds + 1e-6);
+  // The per-miss baseline keeps every fetch inside the tasks' virtual
+  // times; the default lookahead adds worker-level prefetch
+  // communication, which the inline drain leaves unhidden.
+  ClusterConfig per_miss = SmallCluster();
+  per_miss.prefetch_budget = 0;
+  for (const ClusterConfig& config : {per_miss, SmallCluster()}) {
+    const bool lookahead = config.prefetch_budget > 0;
+    ClusterSimulator cluster(data, config);
+    auto result = cluster.Run(plan->plan);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->adjacency_requests, result->cache_hits +
+                                              result->db_queries +
+                                              result->coalesced_fetches);
+    EXPECT_EQ(result->task_virtual_us.size(), result->num_tasks);
+    size_t tasks_across_workers = 0;
+    Count coalesced_in_caches = 0;
+    for (const WorkerSummary& w : result->workers) {
+      tasks_across_workers += w.tasks;
+      coalesced_in_caches += w.cache.coalesced;
+      if (lookahead) {
+        EXPECT_EQ(w.hidden_comm_us, 0.0);
+        EXPECT_LE(w.makespan_virtual_us,
+                  w.busy_virtual_us + w.prefetch_comm_us + 1e-6);
+      } else {
+        EXPECT_EQ(w.prefetch_comm_us, 0.0);
+        EXPECT_LE(w.makespan_virtual_us, w.busy_virtual_us + 1e-6);
+      }
+      EXPECT_GT(w.real_seconds, 0.0);
+      EXPECT_LE(w.real_seconds, result->real_seconds + 1e-6);
+    }
+    EXPECT_EQ(tasks_across_workers, result->num_tasks);
+    // The executors' view of coalescing agrees with the caches'.
+    EXPECT_EQ(coalesced_in_caches, result->coalesced_fetches);
+    EXPECT_GT(result->virtual_seconds, 0.0);
+    EXPECT_GE(result->runtime_threads, 1);
+    EXPECT_GE(result->execution_threads, 1);
   }
-  EXPECT_EQ(tasks_across_workers, result->num_tasks);
-  // The executors' view of coalescing agrees with the caches'.
-  EXPECT_EQ(coalesced_in_caches, result->coalesced_fetches);
-  EXPECT_GT(result->virtual_seconds, 0.0);
-  EXPECT_GE(result->runtime_threads, 1);
-  EXPECT_GE(result->execution_threads, 1);
 }
 
 TEST(ClusterTest, RealExecutionThreadsPreserveCounts) {
@@ -400,7 +419,8 @@ TEST(ClusterTest, ThreadInterleavingDoesNotChangeCounts) {
 
 TEST(ClusterTest, MakespanBoundsHold) {
   // List scheduling guarantees: max-task ≤ makespan ≤ busy, and
-  // makespan ≥ busy / threads.
+  // makespan ≥ busy / threads — over the per-miss baseline, whose
+  // fetches all sit inside the task times.
   auto raw = GenerateBarabasiAlbert(150, 5, 42);
   ASSERT_TRUE(raw.ok());
   Graph data = raw->RelabelByDegree();
@@ -409,6 +429,7 @@ TEST(ClusterTest, MakespanBoundsHold) {
   ASSERT_TRUE(plan.ok());
   ClusterConfig config = SmallCluster();
   config.threads_per_worker = 3;
+  config.prefetch_budget = 0;
   ClusterSimulator cluster(data, config);
   auto result = cluster.Run(plan->plan);
   ASSERT_TRUE(result.ok());
@@ -420,6 +441,24 @@ TEST(ClusterTest, MakespanBoundsHold) {
               w.busy_virtual_us / config.threads_per_worker);
   }
   EXPECT_GE(result->virtual_seconds * 1e6 + 1e-6, max_task);
+
+  // The default inline lookahead serializes its worker-level prefetch
+  // communication after the list-scheduled tasks: the same bounds,
+  // shifted by exactly that unhidden communication.
+  ClusterConfig lookahead = config;
+  lookahead.prefetch_budget = ClusterConfig{}.prefetch_budget;
+  ClusterSimulator lookahead_cluster(data, lookahead);
+  auto lookahead_result = lookahead_cluster.Run(plan->plan);
+  ASSERT_TRUE(lookahead_result.ok());
+  EXPECT_EQ(lookahead_result->total_matches, result->total_matches);
+  EXPECT_GT(lookahead_result->prefetch_comm_seconds, 0.0);
+  for (const WorkerSummary& w : lookahead_result->workers) {
+    EXPECT_EQ(w.hidden_comm_us, 0.0);
+    EXPECT_LE(w.makespan_virtual_us - w.prefetch_comm_us,
+              w.busy_virtual_us + 1e-6);
+    EXPECT_GE(w.makespan_virtual_us - w.prefetch_comm_us + 1e-6,
+              w.busy_virtual_us / lookahead.threads_per_worker);
+  }
 }
 
 TEST(ClusterTest, VirtualTimeGrowsWithQueryLatency) {

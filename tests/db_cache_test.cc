@@ -212,6 +212,37 @@ TEST(DbCacheTest, PrefetchAccountingIdentity) {
   EXPECT_EQ(cache.stats().prefetches_issued, 32u);
 }
 
+TEST(DbCacheTest, PrefetchOfResidentKeysFetchesNothing) {
+  // The lookahead hands every prefetch-hinted ENU's candidates to the
+  // cache; on a warm cache they are all resident, and must cost no
+  // prefetch, no queue entry and no store traffic.
+  Graph g = MakeCycle(64);
+  DistributedKvStore store(g, 4);
+  DbCache cache(&store, 1 << 20, 1);
+  std::vector<VertexId> keys;
+  for (VertexId v = 0; v < 32; ++v) {
+    keys.push_back(v);
+    cache.GetAdjacency(v);
+  }
+  const Count queries = store.stats().queries.load();
+  const Count batch_gets = store.stats().batch_gets.load();
+  cache.PrefetchAsync(keys.data(), keys.size());
+  cache.WaitForPrefetches();
+  EXPECT_EQ(cache.stats().prefetches_issued, 0u);
+  EXPECT_EQ(store.stats().queries.load(), queries);
+  EXPECT_EQ(store.stats().batch_gets.load(), batch_gets);
+
+  // One absent key among the resident ones is the only key fetched.
+  keys.push_back(40);
+  cache.PrefetchAsync(keys.data(), keys.size());
+  cache.WaitForPrefetches();
+  EXPECT_EQ(cache.stats().prefetches_issued, 1u);
+  EXPECT_EQ(store.stats().batch_gets.load(), batch_gets + 1);
+  bool hit = false;
+  cache.GetAdjacency(40, &hit);
+  EXPECT_TRUE(hit);
+}
+
 TEST(DbCacheTest, EvictedPrefetchesCountAsWasted) {
   Graph g = MakeCycle(64);  // every adjacency: 2 ids = 8 raw bytes
   DistributedKvStore store(g, 1);

@@ -51,15 +51,14 @@ constexpr int kOomExit = 42;
 BenuOptions Options(ExpansionMode expansion) {
   BenuOptions options;
   // Single worker, single thread: bad_alloc (if any) surfaces on the
-  // enumerating thread itself — forced-sync keeps the prefetch pipeline
-  // off background threads too.
+  // enumerating thread itself — the inline lookahead drain keeps the
+  // prefetch pipeline off background threads too.
   options.cluster.num_workers = 1;
   options.cluster.threads_per_worker = 1;
   options.cluster.execution_threads = 1;
   options.cluster.max_runtime_threads = 1;
   options.cluster.db_cache_bytes = 4u << 20;
   options.cluster.prefetch_budget = 16;
-  options.cluster.force_sync_prefetch = true;
   options.cluster.expansion = expansion;
   // The governed ceiling sits far below RLIMIT_AS: the hybrid mode must
   // plateau here while full-BFS (which ignores leases by design) blows

@@ -144,7 +144,6 @@ BenuOptions SingleThreadedOptions() {
   options.cluster.db_cache_bytes = 4u << 20;
   options.cluster.task_split_threshold = 100;
   options.cluster.prefetch_budget = 16;
-  options.cluster.force_sync_prefetch = true;
   options.plan.apply_vcbc = true;
   return options;
 }
@@ -308,7 +307,7 @@ TEST(MetricsIntegrationTest, DocsListEveryEmittedInstrument) {
     // Async prefetch + 2 execution threads: fetch pool, steals and the
     // coalesced/claimed paths all become reachable.
     BenuOptions options = SingleThreadedOptions();
-    options.cluster.force_sync_prefetch = false;
+    options.cluster.async_prefetch = true;
     options.cluster.execution_threads = 2;
     options.cluster.max_runtime_threads = 0;
     auto result = RunBenu(data, pattern, options);

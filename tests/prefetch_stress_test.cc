@@ -197,7 +197,7 @@ TEST(PrefetchTest, DestructionMidFlightDoesNotDeadlockOrLeak) {
 TEST(PrefetchTest, ZeroCapacityPrefetchesAreWastedNotRetained) {
   Graph g = MakeCycle(8);
   DistributedKvStore store(g, 2);
-  DbCache cache(&store, 0, 1);  // forced-sync (null pool), never retains
+  DbCache cache(&store, 0, 1);  // inline drain (null pool), never retains
   const VertexId keys[] = {0, 1, 2, 3};
   cache.PrefetchAsync(keys, 4);
   DbCacheStats stats = cache.stats();

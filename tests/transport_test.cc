@@ -388,7 +388,6 @@ BenuOptions TransportRunOptions(std::shared_ptr<Transport> transport) {
   options.cluster.db_cache_bytes = 1u << 20;
   options.cluster.task_split_threshold = 100;
   options.cluster.prefetch_budget = 16;
-  options.cluster.force_sync_prefetch = true;
   options.cluster.transport = std::move(transport);
   options.relabel_by_degree = false;
   return options;
@@ -420,6 +419,51 @@ TEST(TransportEquivalenceTest, ClusterRunsIdenticallyOverLoopback) {
         << name;
     EXPECT_EQ(sim_run->run.prefetch_bytes, loop_run->run.prefetch_bytes)
         << name;
+  }
+}
+
+TEST(TransportEquivalenceTest, DefaultLookaheadBatchesMissesOverLoopback) {
+  // The default ClusterConfig fetches each prefetch-hinted ENU's cache
+  // misses in batched multi-gets before descending; prefetch_budget = 0
+  // is the paper's one store query per miss. One worker, one thread and
+  // a cache far below the working set keep misses flowing. Counts must
+  // be bit-identical for every catalog pattern, and the lookahead must
+  // reach the store in fewer calls than the baseline has misses.
+  Graph g = std::move(GenerateBarabasiAlbert(150, 4, /*seed=*/21)).value()
+                .RelabelByDegree();
+  auto options_over = [&](std::shared_ptr<Transport> transport) {
+    BenuOptions options;
+    options.cluster.num_workers = 1;
+    options.cluster.threads_per_worker = 1;
+    options.cluster.execution_threads = 1;
+    options.cluster.max_runtime_threads = 1;
+    options.cluster.db_cache_bytes = 2u << 10;
+    options.cluster.transport = std::move(transport);
+    options.relabel_by_degree = false;
+    return options;
+  };
+  for (const std::string& name : AllPatternNames()) {
+    Graph pattern = std::move(GetPattern(name)).value();
+    BenuOptions per_miss = options_over(MakeLoopbackTransport(g, 4));
+    per_miss.cluster.prefetch_budget = 0;
+    auto baseline = RunBenu(g, pattern, per_miss);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    EXPECT_EQ(baseline->run.prefetches_issued, 0u) << name;
+
+    std::shared_ptr<Transport> transport = MakeLoopbackTransport(g, 4);
+    auto batched = RunBenu(g, pattern, options_over(transport));
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    EXPECT_EQ(batched->run.total_matches, baseline->run.total_matches)
+        << name;
+    EXPECT_EQ(batched->run.total_codes, baseline->run.total_codes) << name;
+    EXPECT_EQ(batched->run.code_units, baseline->run.code_units) << name;
+    EXPECT_EQ(batched->run.adjacency_requests,
+              baseline->run.adjacency_requests)
+        << name;
+    EXPECT_GT(batched->run.prefetches_issued, 0u) << name;
+    const Count store_calls = transport->stats().fetches.load() +
+                              transport->stats().batch_gets.load();
+    EXPECT_LT(store_calls, baseline->run.db_queries) << name;
   }
 }
 
