@@ -120,7 +120,7 @@ PlanExecutor::~PlanExecutor() {
     registry
         .GetCounter("executor.frontier.batches", "1",
                     "frontier batches materialized and drained by the "
-                    "hybrid/full-BFS ENU path")
+                    "hybrid ENU path")
         ->Add(frontier_batches_);
   }
   if (frontier_spills_ != 0) {
@@ -550,12 +550,10 @@ void PlanExecutor::Exec(size_t pc) {
           end = lo + span * (task_->subtask_index + 1) / task_->num_subtasks;
         }
         // Hybrid mode batches ENUs worth prefetching (the hint marks a
-        // downstream DBQ consumer); full-BFS batches every ENU — a true
-        // level-synchronous frontier holds every level.
-        const bool batched =
-            begin < end &&
-            ((expansion_ == ExpansionMode::kHybrid && ins.prefetch_hint) ||
-             expansion_ == ExpansionMode::kFullBfs);
+        // downstream DBQ consumer).
+        const bool batched = begin < end &&
+                             expansion_ == ExpansionMode::kHybrid &&
+                             ins.prefetch_hint;
         if (batched) {
           ExecEnumerateBatched(ins, candidates, begin, end, pc + 1);
         } else {
@@ -624,7 +622,7 @@ void PlanExecutor::ExecEnumerateBatched(const Compiled& ins,
     }
     const size_t remaining = end - i;
     size_t batch_count = remaining;
-    if (expansion_ == ExpansionMode::kHybrid && governor_ != nullptr) {
+    if (governor_ != nullptr) {
       const size_t granted =
           governor_->GrantFrontierLease(remaining * sizeof(VertexId));
       batch_count = std::min(remaining, granted / sizeof(VertexId));
@@ -644,19 +642,6 @@ void PlanExecutor::ExecEnumerateBatched(const Compiled& ins,
     VertexId* batch = frontier_.AllocateArray(batch_count);
     std::copy(candidates.begin() + i, candidates.begin() + i + batch_count,
               batch);
-    if (expansion_ == ExpansionMode::kFullBfs) {
-      // Retain full partial-embedding rows, as a level-synchronous BFS
-      // frontier would: |batch| copies of the bound prefix plus the
-      // enumerated candidate. Never reclaimed below — this is the
-      // unbounded-frontier control the stress test OOMs on purpose.
-      const size_t width = f_.size();
-      VertexId* rows = frontier_.AllocateArray(batch_count * width);
-      for (size_t b = 0; b < batch_count; ++b) {
-        VertexId* row = rows + b * width;
-        std::copy(f_.begin(), f_.end(), row);
-        row[static_cast<size_t>(ins.target_f)] = batch[b];
-      }
-    }
     ++frontier_batches_;
     if (governor_ != nullptr &&
         batch_count > governor_->base_prefetch_budget()) {
@@ -668,7 +653,7 @@ void PlanExecutor::ExecEnumerateBatched(const Compiled& ins,
       provider_->Prefetch(batch, batch_count);
     }
     DescendRange(ins, batch, batch_count, pc_next);
-    if (expansion_ == ExpansionMode::kHybrid) frontier_.PopTo(mark);
+    frontier_.PopTo(mark);
     i += batch_count;
   }
 }

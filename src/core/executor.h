@@ -42,13 +42,6 @@ enum class ExpansionMode {
   /// candidates in the same order, so symmetry breaking and TRC
   /// semantics are untouched.
   kHybrid,
-  /// Unbounded frontier materialization: every ENU batches its whole
-  /// candidate set and full partial-embedding rows are retained for the
-  /// executor's lifetime, modelling the footprint of level-synchronous
-  /// BFS expansion. No governor arbitration — this is the control mode
-  /// the memory-ceiling stress test uses to demonstrate why the governor
-  /// exists (it OOMs where kHybrid completes).
-  kFullBfs,
 };
 
 /// Source of adjacency sets for DBQ instructions. The production
@@ -213,10 +206,9 @@ class PlanExecutor {
 
   /// Selects the ENU expansion mode (default ExpansionMode::kDfs, the
   /// seed behaviour). `governor` arbitrates frontier leases in kHybrid
-  /// and is charged for region blocks in every batched mode; it may be
-  /// null (kHybrid then batches without a ceiling, like kFullBfs but
-  /// with stack-disciplined reclamation). Must be called before the
-  /// first RunTask.
+  /// and is charged for its region blocks; it may be null (kHybrid then
+  /// batches without a ceiling, still reclaiming each batch
+  /// stack-style). Must be called before the first RunTask.
   void ConfigureExpansion(ExpansionMode mode, MemoryGovernor* governor);
 
   /// Installs a cooperative cancellation flag, polled (relaxed) at every
@@ -297,9 +289,9 @@ class PlanExecutor {
   /// spill-to-DFS path, so every mode enumerates identically.
   void DescendRange(const Compiled& ins, const VertexId* candidates,
                     size_t count, size_t pc_next);
-  /// Hybrid/full-BFS ENU body: materialize governor-leased candidate
-  /// batches into the frontier region, wide-prefetch each batch, drain
-  /// it DFS-style, pop the region (kHybrid only).
+  /// kHybrid ENU body: materialize governor-leased candidate batches
+  /// into the frontier region, wide-prefetch each batch, drain it
+  /// DFS-style, pop the region.
   void ExecEnumerateBatched(const Compiled& ins, VertexSetView candidates,
                             size_t begin, size_t end, size_t pc_next);
   /// The slot as a plain view. A still-encoded slot is decoded here,
@@ -378,8 +370,7 @@ class PlanExecutor {
   uint64_t fallback_decodes_ = 0;
 
   // Hybrid expansion state (ConfigureExpansion). The frontier region
-  // holds materialized candidate batches; in kFullBfs it additionally
-  // retains full partial-embedding rows for the executor's lifetime.
+  // holds materialized candidate batches.
   ExpansionMode expansion_ = ExpansionMode::kDfs;
   MemoryGovernor* governor_ = nullptr;
   RegionBuffer frontier_;

@@ -12,12 +12,11 @@ namespace benu {
 class MemoryGovernor;
 
 /// Region (bump-pointer) allocator for frontier batches: the hybrid ENU
-/// path materializes candidate slices — and, in full-BFS mode, whole
-/// partial-embedding rows — into one of these per executor. Allocation is
-/// a pointer bump within the current block; blocks are sized geometrically
-/// and their *capacity* is pinned against the memory governor the moment
-/// they are reserved, so the governor sees frontier pressure before the
-/// bytes are filled in.
+/// path materializes candidate slices into one of these per executor.
+/// Allocation is a pointer bump within the current block; blocks are
+/// sized geometrically and their *capacity* is pinned against the memory
+/// governor the moment they are reserved, so the governor sees frontier
+/// pressure before the bytes are filled in.
 ///
 /// Reclamation is stack-disciplined, matching the backtracking search:
 /// `mark()` snapshots the allocation point before a batch, `PopTo`

@@ -37,10 +37,9 @@
 //                         transport's attested graph hash
 //
 // Memory-governed execution knobs:
-//   --expansion=MODE      dfs (default) | hybrid | full-bfs. hybrid
-//                         batches ENU frontiers into governed region
-//                         buffers and issues wide prefetches; full-bfs
-//                         retains every frontier (OOM control mode)
+//   --expansion=MODE      dfs (default) | hybrid. hybrid batches ENU
+//                         frontiers into governed region buffers and
+//                         issues wide prefetches
 //   --memory-budget-mb=N  process-wide budget the memory governor holds
 //                         cache residency + frontier regions under
 //                         (0 = unbounded)
@@ -148,11 +147,9 @@ int main(int argc, char** argv) {
     knobs.expansion = ExpansionMode::kDfs;
   } else if (expansion_name == "hybrid") {
     knobs.expansion = ExpansionMode::kHybrid;
-  } else if (expansion_name == "full-bfs") {
-    knobs.expansion = ExpansionMode::kFullBfs;
   } else {
     BENU_CHECK(false) << "unknown --expansion=" << expansion_name
-                      << " (dfs|hybrid|full-bfs)";
+                      << " (dfs|hybrid)";
   }
   knobs.memory_budget_bytes =
       flags::SizeValue(argc, argv, "--memory-budget-mb", 0) << 20;

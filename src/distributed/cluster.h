@@ -75,8 +75,7 @@ struct ClusterConfig {
   /// ENU expansion mode of every executor (core/executor.h). kDfs is the
   /// seed behaviour; kHybrid materializes governor-leased frontier
   /// batches for wide prefetches and spills back to DFS near the memory
-  /// ceiling; kFullBfs is the unbounded-frontier control mode. Match
-  /// counts are bit-identical across all three.
+  /// ceiling. Match counts are bit-identical across both.
   ExpansionMode expansion = ExpansionMode::kDfs;
   /// Ceiling on governed memory — frontier regions plus the DB caches'
   /// resident bytes, across all workers of the run — in bytes. 0 means

@@ -48,7 +48,80 @@ class MaintenanceSink : public MatchConsumer {
   Count count_ = 0;
 };
 
+// The runner's own DbCache: no caller has needed another size.
+constexpr size_t kCacheBytes = 64u << 20;
+constexpr size_t kCacheShards = 8;
+
 }  // namespace
+
+Status CheckIncrementalPlans(const IncrementalPlanSet& plans,
+                             AdjacencyProvider* provider) {
+  for (const IncrementalPlan& inc : plans.plans) {
+    auto executor =
+        PlanExecutor::Create(&inc.plan, provider, /*tcache=*/nullptr);
+    BENU_RETURN_IF_ERROR(executor.status());
+  }
+  return Status::OK();
+}
+
+MaintainedEpoch MaintainEpoch(VersionedAdjacencyStore* store, DbCache* cache,
+                              AdjacencyProvider* provider,
+                              std::span<const EdgeDelta> ops,
+                              std::span<const MaintenanceTarget> targets) {
+  const EpochDelta delta = store->Canonicalize(ops);
+  MaintainedEpoch out;
+  out.net_inserted = delta.inserted.size();
+  out.net_removed = delta.removed.size();
+  out.targets.resize(targets.size());
+
+  // One seeded pass over the current snapshot: every target's matches
+  // owned by a `delta_edges` edge, each found exactly once.
+  auto seeded_pass = [&](const std::vector<EdgeDelta>& delta_edges,
+                         bool retract) {
+    if (delta_edges.empty()) return;
+    const EdgePatch patch(delta_edges);
+    for (size_t t = 0; t < targets.size(); ++t) {
+      const MaintenanceTarget& target = targets[t];
+      TargetDelta& counts = out.targets[t];
+      for (const IncrementalPlan& inc : target.plans->plans) {
+        DeltaMatchFilter filter(
+            target.plans, inc.edge_index, &patch,
+            retract ? target.retracted_sink : target.added_sink);
+        auto executor =
+            PlanExecutor::Create(&inc.plan, provider, /*tcache=*/nullptr);
+        // CheckIncrementalPlans passed when the plan set was created.
+        BENU_CHECK(executor.ok()) << executor.status().message();
+        for (const EdgeDelta& edge : delta_edges) {
+          // Both orientations: the plan's anchor (a_i, b_i) can map onto
+          // the undirected delta edge either way.
+          const VertexId ends[2][2] = {{edge.u, edge.v}, {edge.v, edge.u}};
+          for (const auto& oriented : ends) {
+            SearchTask task;
+            task.start = oriented[0];
+            task.seed_second = oriented[1];
+            (*executor)->RunTask(task, &filter);
+            ++counts.seed_tasks;
+          }
+        }
+        (retract ? counts.retracted : counts.added) += filter.accepted();
+        counts.filter_rejected += filter.rejected();
+      }
+    }
+  };
+
+  // Retraction pass: matches of the pre-apply snapshot involving a
+  // net-removed edge.
+  seeded_pass(delta.removed, /*retract=*/true);
+  // Apply: store overlay + delta replication, then precise cache
+  // invalidation (the cache epoch is bumped before the purge, so racing
+  // prefetch installs are dropped, never served stale).
+  out.epoch = store->Apply(delta);
+  cache->AdvanceEpoch(out.epoch, delta.touched);
+  // Addition pass: matches of the new snapshot involving a net-inserted
+  // edge.
+  seeded_pass(delta.inserted, /*retract=*/false);
+  return out;
+}
 
 DynamicRunner::DynamicRunner(const Graph& pattern,
                              const DynamicRunnerOptions& options)
@@ -86,11 +159,12 @@ StatusOr<std::unique_ptr<DynamicRunner>> DynamicRunner::Create(
   runner->full_plan_ = *std::move(full);
   runner->store_ =
       std::make_unique<VersionedAdjacencyStore>(std::move(transport));
-  runner->cache_ = std::make_unique<DbCache>(
-      runner->store_.get(), options.cache_bytes, options.cache_shards);
+  runner->cache_ = std::make_unique<DbCache>(runner->store_.get(),
+                                             kCacheBytes, kCacheShards);
   runner->provider_ = std::make_unique<CachedAdjacencyProvider>(
-      runner->cache_.get(), runner->store_->num_vertices(),
-      options.prefetch_budget);
+      runner->cache_.get(), runner->store_->num_vertices());
+  BENU_RETURN_IF_ERROR(
+      CheckIncrementalPlans(runner->inc_, runner->provider_.get()));
   return runner;
 }
 
@@ -122,33 +196,6 @@ StatusOr<Count> DynamicRunner::Recount() {
   return EnumerateFull(/*track=*/false);
 }
 
-StatusOr<Count> DynamicRunner::EnumerateSeeded(
-    std::span<const EdgeDelta> delta_edges, const EdgePatch& patch,
-    bool retract, EpochReport* report) {
-  Count found = 0;
-  for (const IncrementalPlan& inc : inc_.plans) {
-    MaintenanceSink sink(options_.track_matches ? &tracked_ : nullptr,
-                         retract);
-    DeltaMatchFilter filter(&inc_, inc.edge_index, &patch, &sink);
-    auto executor =
-        PlanExecutor::Create(&inc.plan, provider_.get(), /*tcache=*/nullptr);
-    BENU_RETURN_IF_ERROR(executor.status());
-    for (const EdgeDelta& edge : delta_edges) {
-      const VertexId ends[2][2] = {{edge.u, edge.v}, {edge.v, edge.u}};
-      for (const auto& oriented : ends) {
-        SearchTask task;
-        task.start = oriented[0];
-        task.seed_second = oriented[1];
-        (*executor)->RunTask(task, &filter);
-        ++report->seed_tasks;
-      }
-    }
-    found += sink.count();
-    report->filter_rejected += filter.rejected();
-  }
-  return found;
-}
-
 StatusOr<EpochReport> DynamicRunner::ApplyBatch(
     std::span<const EdgeDelta> ops) {
   if (!baseline_run_) {
@@ -163,39 +210,20 @@ StatusOr<EpochReport> DynamicRunner::ApplyBatch(
     }
   }
   Stopwatch watch;
+  std::map<std::vector<VertexId>, Count>* tracked =
+      options_.track_matches ? &tracked_ : nullptr;
+  MaintenanceSink retracted_sink(tracked, /*retract=*/true);
+  MaintenanceSink added_sink(tracked, /*retract=*/false);
+  const MaintenanceTarget target{&inc_, &retracted_sink, &added_sink};
+  const MaintainedEpoch epoch = MaintainEpoch(
+      store_.get(), cache_.get(), provider_.get(), ops, {&target, 1});
+
   EpochReport report;
+  static_cast<TargetDelta&>(report) = epoch.targets[0];
+  report.epoch = epoch.epoch;
   report.raw_ops = ops.size();
-  const EpochDelta delta = store_->Canonicalize(ops);
-  report.epoch = delta.epoch;
-  report.net_inserted = delta.inserted.size();
-  report.net_removed = delta.removed.size();
-
-  // Retraction pass: matches of the pre-apply snapshot involving a
-  // net-removed edge.
-  if (!delta.removed.empty()) {
-    const EdgePatch patch(delta.removed);
-    auto retracted = EnumerateSeeded(delta.removed, patch,
-                                     /*retract=*/true, &report);
-    BENU_RETURN_IF_ERROR(retracted.status());
-    report.retracted = *retracted;
-  }
-
-  // Apply: store overlay + delta replication, then precise cache
-  // invalidation (the cache epoch is bumped before the purge, so racing
-  // prefetch installs are dropped, never served stale).
-  const uint64_t new_epoch = store_->Apply(delta);
-  cache_->AdvanceEpoch(new_epoch, delta.touched);
-
-  // Addition pass: matches of the new snapshot involving a net-inserted
-  // edge.
-  if (!delta.inserted.empty()) {
-    const EdgePatch patch(delta.inserted);
-    auto added = EnumerateSeeded(delta.inserted, patch,
-                                 /*retract=*/false, &report);
-    BENU_RETURN_IF_ERROR(added.status());
-    report.added = *added;
-  }
-
+  report.net_inserted = epoch.net_inserted;
+  report.net_removed = epoch.net_removed;
   BENU_CHECK(total_ + report.added >= report.retracted);
   total_ = total_ + report.added - report.retracted;
   report.total = total_;

@@ -25,53 +25,87 @@ class Gauge;
 
 /// Knobs of the dynamic maintenance loop.
 struct DynamicRunnerOptions {
-  /// DB cache capacity, bytes (0 disables caching benefits but the cache
-  /// layer still coalesces and epoch-invalidates).
-  size_t cache_bytes = 64u << 20;
-  size_t cache_shards = 8;
-  /// Keys forwarded per executor Prefetch call (0: synchronous misses
-  /// only — the deterministic default; the bench turns it on).
-  size_t prefetch_budget = 0;
   /// Maintain the full match multiset across epochs (TrackedMatches());
   /// the exactness property test compares it against a fresh recount at
   /// every epoch. Off for benchmarks — counting is the production mode.
   bool track_matches = false;
 };
 
-/// Outcome of one epoch batch.
-struct EpochReport {
+/// One plan set maintained by MaintainEpoch: its seeded passes report
+/// each accepted match to the pass's sink (null: count only).
+struct MaintenanceTarget {
+  const IncrementalPlanSet* plans = nullptr;
+  MatchConsumer* retracted_sink = nullptr;
+  MatchConsumer* added_sink = nullptr;
+};
+
+/// What one epoch changed for one MaintenanceTarget.
+struct TargetDelta {
+  /// Matches gained (over the post-apply snapshot, seeded from Δ⁺).
+  Count added = 0;
+  /// Matches lost (over the pre-apply snapshot, seeded from Δ⁻).
+  Count retracted = 0;
+  /// Seeded executor tasks run (2 orientations × |Δ| × plans).
+  Count seed_tasks = 0;
+  /// Matches rejected by the min-index uniqueness filter.
+  Count filter_rejected = 0;
+};
+
+/// Outcome of MaintainEpoch.
+struct MaintainedEpoch {
+  /// The store's epoch after Apply.
+  uint64_t epoch = 0;
+  size_t net_inserted = 0;
+  size_t net_removed = 0;
+  /// One entry per target, in target order.
+  std::vector<TargetDelta> targets;
+};
+
+/// Outcome of one ApplyBatch: the runner's TargetDelta plus the
+/// epoch-wide figures.
+struct EpochReport : TargetDelta {
   uint64_t epoch = 0;
   /// Ops in the submitted batch before net canonicalization.
   size_t raw_ops = 0;
   size_t net_inserted = 0;
   size_t net_removed = 0;
-  /// Matches gained (over the post-apply snapshot, seeded from Δ⁺).
-  Count added = 0;
-  /// Matches lost (over the pre-apply snapshot, seeded from Δ⁻).
-  Count retracted = 0;
   /// Maintained total after this epoch: previous total − retracted + added.
   Count total = 0;
-  /// Seeded executor tasks run (2 orientations × |Δ| × plans).
-  Count seed_tasks = 0;
-  /// Matches rejected by the min-index uniqueness filter.
-  Count filter_rejected = 0;
   /// Wall time of the incremental maintenance (both passes + apply).
   double seconds = 0;
 };
 
+/// Compile-checks an executor of every plan in `plans` over `provider`.
+/// Call where a plan set is created: MaintainEpoch then cannot fail.
+Status CheckIncrementalPlans(const IncrementalPlanSet& plans,
+                             AdjacencyProvider* provider);
+
+/// The S-BENU epoch step, shared by DynamicRunner::ApplyBatch and
+/// service::QueryEngine::CommitEpoch: Canonicalize `ops` → retraction
+/// pass of every target (seeded from Δ⁻ against the pre-apply snapshot,
+/// patch = Δ⁻) → Apply (store overlay + delta replication +
+/// DbCache::AdvanceEpoch precise invalidation) → addition pass of every
+/// target (seeded from Δ⁺ against the new snapshot, patch = Δ⁺).
+/// Exactness: net canonicalization makes Δ⁺ disjoint from the old
+/// snapshot and Δ⁻ contained in it, so retracted matches (⊇ one Δ⁻
+/// edge, counted once via min-index) and added matches (⊇ one Δ⁺ edge)
+/// partition the symmetric difference of the match sets.
+///
+/// A seeded pass runs every plan of the target, tries both orientations
+/// of each delta edge, and filters through one DeltaMatchFilter per
+/// plan. `provider` must read through `cache`, which must read `store`;
+/// every target's plans must have passed CheckIncrementalPlans against
+/// `provider`. Endpoints of `ops` must be < store->num_vertices().
+MaintainedEpoch MaintainEpoch(VersionedAdjacencyStore* store, DbCache* cache,
+                              AdjacencyProvider* provider,
+                              std::span<const EdgeDelta> ops,
+                              std::span<const MaintenanceTarget> targets);
+
 /// Drives S-BENU incremental maintenance over a VersionedAdjacencyStore:
 /// replays an edge stream in epoch batches, keeping the pattern's match
-/// count (and optionally the match multiset) exact at every epoch.
-///
-/// Per ApplyBatch: Canonicalize → retraction pass (incremental plans
-/// seeded from Δ⁻ against the pre-apply snapshot, patch = Δ⁻) → Apply
-/// (store overlay + delta replication + DbCache::AdvanceEpoch precise
-/// invalidation) → addition pass (seeded from Δ⁺ against the new
-/// snapshot, patch = Δ⁺). Exactness: net canonicalization makes Δ⁺
-/// disjoint from the old snapshot and Δ⁻ contained in it, so retracted
-/// matches (⊇ one Δ⁻ edge, counted once via min-index) and added
-/// matches (⊇ one Δ⁺ edge) partition the symmetric difference of the
-/// match sets.
+/// count (and optionally the match multiset) exact at every epoch. Each
+/// ApplyBatch is one MaintainEpoch with this runner's plan set as the
+/// only target.
 ///
 /// Works over any Transport backend — simulated, loopback, TCP — because
 /// all mutation lives in the client-side overlay; servers keep serving
@@ -114,13 +148,6 @@ class DynamicRunner {
 
  private:
   DynamicRunner(const Graph& pattern, const DynamicRunnerOptions& options);
-
-  /// Runs every incremental plan seeded from `delta_edges` (both
-  /// orientations per edge), filtering via min-index against `patch`.
-  /// `retract` selects whether tracked matches are removed or added.
-  StatusOr<Count> EnumerateSeeded(std::span<const EdgeDelta> delta_edges,
-                                  const EdgePatch& patch, bool retract,
-                                  EpochReport* report);
 
   /// Full enumeration with the baseline plan; when `track` is true the
   /// tracked multiset is rebuilt.

@@ -95,7 +95,7 @@ void DeltaMatchFilter::OnMatch(const std::vector<VertexId>& f) {
     }
   }
   ++accepted_;
-  inner_->OnMatch(f);
+  if (inner_ != nullptr) inner_->OnMatch(f);
 }
 
 void DeltaMatchFilter::OnCompressedCode(

@@ -39,7 +39,8 @@ namespace benu {
 ///
 /// Deletions use the *same* plans: enumerate against the pre-apply
 /// snapshot seeded from Δ⁻ to retract, apply, then enumerate against the
-/// new snapshot seeded from Δ⁺ to add (distributed/dynamic_runner.h).
+/// new snapshot seeded from Δ⁺ to add (MaintainEpoch,
+/// distributed/dynamic_runner.h).
 /// Net canonicalization (VersionedAdjacencyStore::Canonicalize)
 /// guarantees Δ⁺ is disjoint from the old snapshot and Δ⁻ is contained
 /// in it, so the retract and add passes partition the changed matches.
@@ -95,14 +96,16 @@ class EdgePatch {
   std::unordered_set<uint64_t> keys_;
 };
 
-/// Report-time min-index uniqueness filter: forwards a match of plan
-/// `plan_index` to `inner` unless some earlier canonical pattern edge
-/// e_j (j < plan_index) maps into the patch — that match is plan j's.
+/// Report-time min-index uniqueness filter: accepts a match of plan
+/// `plan_index` (forwarding it to `inner`, when not null) unless some
+/// earlier canonical pattern edge e_j (j < plan_index) maps into the
+/// patch — that match is plan j's.
 /// The check is O(plan_index) hash probes per reported match, against
 /// the tiny per-epoch patch, not the graph.
 class DeltaMatchFilter : public MatchConsumer {
  public:
-  /// All pointers/references must outlive the filter.
+  /// All pointers/references must outlive the filter; `inner` may be
+  /// null (count only).
   DeltaMatchFilter(const IncrementalPlanSet* set, size_t plan_index,
                    const EdgePatch* patch, MatchConsumer* inner);
 

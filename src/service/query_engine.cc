@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "distributed/dynamic_runner.h"
 #include "distributed/task.h"
 #include "graph/patterns.h"
 #include "plan/filters.h"
@@ -300,6 +301,9 @@ StatusOr<uint64_t> QueryEngine::Submit(uint64_t session,
     if (!pattern.ok()) return Reject(pattern.status());
     auto plans = GenerateIncrementalPlans(*pattern);
     if (!plans.ok()) return Reject(plans.status());
+    // Compile-checked here so CommitEpoch's step cannot fail.
+    Status checked = CheckIncrementalPlans(*plans, provider_.get());
+    if (!checked.ok()) return Reject(std::move(checked));
     inc = std::make_shared<const IncrementalPlanSet>(*std::move(plans));
   }
   bool cache_hit = false;
@@ -589,54 +593,6 @@ Status QueryEngine::StageDelta(uint64_t target_epoch,
   return Status::OK();
 }
 
-namespace {
-
-// Counting consumer of the subscription delta passes. Maintenance plans
-// are raw (uncompressed), so a compressed code is a wiring bug.
-class CountOnlySink : public MatchConsumer {
- public:
-  void OnMatch(const std::vector<VertexId>& /*f*/) override { ++count_; }
-  void OnCompressedCode(
-      const std::vector<VertexId>& /*f*/,
-      const std::vector<VertexSetView>& /*sets*/) override {
-    BENU_CHECK(false);
-  }
-  Count count() const { return count_; }
-
- private:
-  Count count_ = 0;
-};
-
-}  // namespace
-
-Count QueryEngine::SubscriptionPass(const Subscription& sub,
-                                    std::span<const EdgeDelta> delta_edges,
-                                    const EdgePatch& patch) {
-  Count found = 0;
-  for (const IncrementalPlan& ip : sub.inc->plans) {
-    CountOnlySink sink;
-    DeltaMatchFilter filter(sub.inc.get(), ip.edge_index, &patch, &sink);
-    auto executor =
-        PlanExecutor::Create(&ip.plan, provider_.get(), /*tcache=*/nullptr);
-    // Raw seeded plans over an unlabeled provider compile by
-    // construction (validated when the plan set was generated).
-    BENU_CHECK(executor.ok()) << executor.status().message();
-    for (const EdgeDelta& edge : delta_edges) {
-      // Both orientations: the plan's anchor (a_i, b_i) can map onto the
-      // undirected delta edge either way.
-      const VertexId ends[2][2] = {{edge.u, edge.v}, {edge.v, edge.u}};
-      for (const auto& oriented : ends) {
-        SearchTask task;
-        task.start = oriented[0];
-        task.seed_second = oriented[1];
-        (*executor)->RunTask(task, &filter);
-      }
-    }
-    found += sink.count();
-  }
-  return found;
-}
-
 StatusOr<uint64_t> QueryEngine::CommitEpoch(uint64_t target_epoch) {
   std::lock_guard<std::mutex> lk(mu_);
   if (stop_) return Status::Unavailable("service is shutting down");
@@ -654,36 +610,30 @@ StatusOr<uint64_t> QueryEngine::CommitEpoch(uint64_t target_epoch) {
         "cannot commit an epoch while queries are in flight; retry after "
         "they finish");
   }
-  const EpochDelta delta = vstore_->Canonicalize(staged_);
+  // One target per subscription, each counted only (no sinks). No
+  // subscription is added or erased under mu_, so both loops below visit
+  // subs_ in the same order.
+  std::vector<MaintenanceTarget> targets;
+  targets.reserve(subs_.size());
+  for (const auto& [id, sub] : subs_) {
+    targets.push_back({sub.inc.get(), nullptr, nullptr});
+  }
+  const MaintainedEpoch epoch = MaintainEpoch(
+      vstore_.get(), cache_.get(), provider_.get(), staged_, targets);
   staged_.clear();
-
-  // S-BENU maintenance: retract against the pre-apply snapshot, apply,
-  // add against the new snapshot. Canonicalization guarantees Δ⁻ ⊆ E and
-  // Δ⁺ ∩ E = ∅, so the two passes partition the changed matches.
-  std::unordered_map<uint64_t, wire::MatchDelta> reports;
-  if (!delta.removed.empty()) {
-    const EdgePatch patch(delta.removed);
-    for (const auto& [id, sub] : subs_) {
-      reports[id].retracted = SubscriptionPass(sub, delta.removed, patch);
-    }
-  }
-  const uint64_t new_epoch = vstore_->Apply(delta);
-  cache_->AdvanceEpoch(new_epoch, delta.touched);
-  if (!delta.inserted.empty()) {
-    const EdgePatch patch(delta.inserted);
-    for (const auto& [id, sub] : subs_) {
-      reports[id].added = SubscriptionPass(sub, delta.inserted, patch);
-    }
-  }
+  size_t i = 0;
   for (auto& [id, sub] : subs_) {
-    wire::MatchDelta report = reports[id];
-    report.epoch = new_epoch;
+    const TargetDelta& counts = epoch.targets[i++];
+    wire::MatchDelta report;
+    report.epoch = epoch.epoch;
+    report.added = counts.added;
+    report.retracted = counts.retracted;
     BENU_CHECK(sub.total + report.added >= report.retracted);
     sub.total = sub.total + report.added - report.retracted;
     report.total = sub.total;
     if (sub.on_delta) sub.on_delta(report);
   }
-  return new_epoch;
+  return epoch.epoch;
 }
 
 QueryEngine::EngineStats QueryEngine::stats() const {

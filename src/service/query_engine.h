@@ -233,11 +233,12 @@ class QueryEngine {
   /// (kInvalidArgument). Staged ops accumulate until CommitEpoch.
   Status StageDelta(uint64_t target_epoch, std::span<const EdgeDelta> ops);
 
-  /// Commits the staged ops as `target_epoch` (= epoch() + 1): runs the
-  /// S-BENU retraction pass for every subscription against the pre-apply
-  /// snapshot, applies the canonicalized delta to the versioned store
+  /// Commits the staged ops as `target_epoch` (= epoch() + 1) through
+  /// MaintainEpoch (distributed/dynamic_runner.h) with one target per
+  /// subscription: the S-BENU retraction pass against the pre-apply
+  /// snapshot, the canonicalized delta applied to the versioned store
   /// (replicating to delta-capable KV servers) with precise cache
-  /// invalidation, runs the addition pass against the new snapshot, and
+  /// invalidation, and the addition pass against the new snapshot. Then
   /// fires each subscription's QueryDeltaFn with its exact MatchDelta.
   /// Serialized against query execution: refused (kFailedPrecondition)
   /// while any one-shot query is active, and no query can be admitted
@@ -311,8 +312,9 @@ class QueryEngine {
     QueryDoneFn done;
     QueryProgressFn progress;
     QueryDeltaFn on_delta;  ///< subscribe queries only
-    /// Subscribe queries only: the S-BENU delta plans, generated at
-    /// admission so a pattern they reject is a submit-time rejection.
+    /// Subscribe queries only: the S-BENU delta plans, generated and
+    /// compile-checked at admission so a pattern they reject is a
+    /// submit-time rejection.
     std::shared_ptr<const IncrementalPlanSet> inc;
     std::vector<std::unique_ptr<QueryContext>> contexts;  // by thread
   };
@@ -347,12 +349,6 @@ class QueryEngine {
   /// Ends the subscription (erased from subs_) and fires its terminal
   /// done callback. Caller holds mu_.
   void TerminateSubscription(Subscription sub);
-  /// One seeded S-BENU pass of a subscription: enumerates the matches of
-  /// the current snapshot owned by `delta_edges` (each counted exactly
-  /// once via DeltaMatchFilter). Caller holds mu_.
-  Count SubscriptionPass(const Subscription& sub,
-                         std::span<const EdgeDelta> delta_edges,
-                         const EdgePatch& patch);
 
   const ServiceConfig config_;
   Graph graph_;  ///< the (possibly relabeled) data graph

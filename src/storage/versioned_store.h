@@ -54,9 +54,10 @@ struct EpochDelta {
 ///
 /// Epoch protocol: Canonicalize(ops) → enumerate retractions against the
 /// current snapshot → Apply(delta) → enumerate additions against the new
-/// snapshot (distributed/dynamic_runner.cc drives this). Apply also
-/// replicates the delta to the KV servers (kApplyDelta / kEpochAdvance)
-/// so their attested (graph_hash, epoch) identity tracks the client's.
+/// snapshot (MaintainEpoch in distributed/dynamic_runner.h drives this
+/// for both DynamicRunner and the service). Apply also replicates the
+/// delta to the KV servers (kApplyDelta / kEpochAdvance) so their
+/// attested (graph_hash, epoch) identity tracks the client's.
 ///
 /// Thread-safe: reads take a shared lock; Apply takes an exclusive lock.
 /// Prefetch-pool threads may race Apply, which is why DbCache tags

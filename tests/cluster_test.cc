@@ -189,9 +189,9 @@ TEST(ClusterTest, HybridExpansionPreservesCountsInEveryRegime) {
   // the same DescendRange loop plain DFS uses, so the candidate visit
   // order — and therefore the match count — must be bit-identical in
   // every governed regime: generous budget (wide batches), starved
-  // budget (constant lease denials, spill-to-DFS), no ceiling at all,
-  // and the unbounded full-BFS control. q5 and clique4 cover both a
-  // cycle (DBQ-heavy) and a dense (INT-heavy) plan shape.
+  // budget (constant lease denials, spill-to-DFS) and no ceiling at all.
+  // q5 and clique4 cover both a cycle (DBQ-heavy) and a dense
+  // (INT-heavy) plan shape.
   auto raw = GenerateBarabasiAlbert(200, 5, 17);
   ASSERT_TRUE(raw.ok());
   Graph data = raw->RelabelByDegree();
@@ -214,13 +214,11 @@ TEST(ClusterTest, HybridExpansionPreservesCountsInEveryRegime) {
     starved.memory_budget_bytes = 1024;
     ClusterConfig unbounded = generous;
     unbounded.memory_budget_bytes = 0;
-    ClusterConfig full_bfs = dfs;
-    full_bfs.expansion = ExpansionMode::kFullBfs;
 
     Count reference = 0;
     bool first = true;
     for (const ClusterConfig* config :
-         {&dfs, &generous, &starved, &unbounded, &full_bfs}) {
+         {&dfs, &generous, &starved, &unbounded}) {
       ClusterSimulator cluster(data, *config);
       auto result = cluster.Run(plan->plan);
       ASSERT_TRUE(result.ok()) << name;

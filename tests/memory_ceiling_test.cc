@@ -2,19 +2,22 @@
 // (no gtest: a forking harness with a custom main).
 //
 // clique5 on a dense Erdős–Rényi graph materializes ~8M partial
-// embeddings across its ENU levels. A level-synchronous BFS that retains
-// every frontier (ExpansionMode::kFullBfs, the control) needs hundreds of
-// megabytes for them; the governed hybrid mode leases bounded frontier
-// batches and pops them stack-style, so its footprint stays near the
-// configured memory budget no matter how many embeddings exist.
+// embeddings across its ENU levels. The governed hybrid mode leases
+// bounded frontier batches and pops them stack-style, so its footprint
+// stays near the configured memory budget no matter how many embeddings
+// exist.
 //
-// The harness runs the enumeration three ways:
+// The harness runs three ways:
 //
 //   parent       plain DFS, no address-space cap — the reference count;
 //   hybrid child RLIMIT_AS capped: must finish with the reference count
 //                (graceful spill-to-DFS near the ceiling, never OOM);
-//   full-BFS child same cap: must die with std::bad_alloc (exit 42) —
-//                proving the cap is real and unbounded BFS cannot fit.
+//   probe child  same cap: allocates and touches kCapBytes and must die
+//                with std::bad_alloc (exit 42) — proving the cap is real.
+//
+// Ungoverned hybrid (memory_budget_bytes = 0) is no OOM control: it too
+// finishes under the cap, because its frontier is reclaimed stack-style
+// whether or not a governor is present.
 //
 // Children are forked (the parent is single-threaded by then) and set
 // their own RLIMIT_AS, so the test is self-contained; the CI
@@ -26,7 +29,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <new>
+#include <vector>
 
 #include "common/logging.h"
 #include "distributed/benu_driver.h"
@@ -45,7 +50,7 @@ constexpr size_t kEdges = 80000;
 constexpr unsigned kSeed = 29;
 /// Address-space cap for both children, bytes.
 constexpr rlim_t kCapBytes = 128u << 20;
-/// The OOM control's distinguished exit code.
+/// The distinguished exit code of a child that hit std::bad_alloc.
 constexpr int kOomExit = 42;
 
 BenuOptions Options(ExpansionMode expansion) {
@@ -61,8 +66,7 @@ BenuOptions Options(ExpansionMode expansion) {
   options.cluster.prefetch_budget = 16;
   options.cluster.expansion = expansion;
   // The governed ceiling sits far below RLIMIT_AS: the hybrid mode must
-  // plateau here while full-BFS (which ignores leases by design) blows
-  // straight through the address-space cap.
+  // plateau here.
   options.cluster.memory_budget_bytes = 24u << 20;
   // Keep every enumeration level materialized — VCBC would compress the
   // deepest (largest) frontier away.
@@ -79,8 +83,10 @@ Count Enumerate(const BenuOptions& options) {
   return result->run.total_matches;
 }
 
-/// Runs one capped enumeration in a forked child; returns its exit code.
-int RunCapped(ExpansionMode expansion, Count expect) {
+/// Runs `child` in a forked child under the address-space cap; returns
+/// its exit code: 0 if it returned true, 1 if false, kOomExit on
+/// std::bad_alloc.
+int RunCapped(const std::function<bool()>& child) {
   const pid_t pid = fork();
   BENU_CHECK(pid >= 0) << "fork failed";
   if (pid == 0) {
@@ -89,8 +95,7 @@ int RunCapped(ExpansionMode expansion, Count expect) {
     cap.rlim_max = kCapBytes;
     if (setrlimit(RLIMIT_AS, &cap) != 0) _exit(3);
     try {
-      const Count matches = Enumerate(Options(expansion));
-      _exit(matches == expect ? 0 : 1);
+      _exit(child() ? 0 : 1);
     } catch (const std::bad_alloc&) {
       _exit(kOomExit);
     }
@@ -116,7 +121,9 @@ int main() {
   std::printf("reference (dfs, uncapped): %llu matches\n",
               static_cast<unsigned long long>(reference));
 
-  const int hybrid_exit = RunCapped(ExpansionMode::kHybrid, reference);
+  const int hybrid_exit = RunCapped([reference] {
+    return Enumerate(Options(ExpansionMode::kHybrid)) == reference;
+  });
   BENU_CHECK(hybrid_exit == 0)
       << "hybrid run under the " << (kCapBytes >> 20)
       << "MB address-space cap exited " << hybrid_exit
@@ -125,14 +132,20 @@ int main() {
   std::printf("hybrid under %lluMB cap: correct count, no OOM\n",
               static_cast<unsigned long long>(kCapBytes >> 20));
 
-  const int bfs_exit = RunCapped(ExpansionMode::kFullBfs, reference);
-  BENU_CHECK(bfs_exit == kOomExit)
-      << "full-BFS control exited " << bfs_exit << " instead of "
-      << kOomExit
+  const int probe_exit = RunCapped([] {
+    std::vector<char> block(kCapBytes, 1);
+    // Publish the block so the touched allocation cannot be elided.
+    static char* volatile escape;
+    escape = block.data();
+    return escape[kCapBytes - 1] == 1;
+  });
+  BENU_CHECK(probe_exit == kOomExit)
+      << "probe child allocated " << (kCapBytes >> 20)
+      << "MB under the same cap and exited " << probe_exit
+      << " instead of " << kOomExit
       << ": the cap did not bite, so the hybrid result above proves "
-         "nothing — shrink kCapBytes or grow the graph";
-  std::printf("full-bfs control: std::bad_alloc under the same cap, "
-              "as intended\n");
+         "nothing";
+  std::printf("probe under the same cap: std::bad_alloc, as intended\n");
   std::printf("memory ceiling test OK\n");
   return 0;
 }

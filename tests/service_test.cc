@@ -19,6 +19,7 @@
 #include "common/metrics.h"
 #include "common/wire.h"
 #include "distributed/benu_driver.h"
+#include "distributed/dynamic_runner.h"
 #include "graph/generators.h"
 #include "graph/patterns.h"
 #include "service/query_engine.h"
@@ -805,6 +806,97 @@ TEST(QueryEngineSubscribeTest, IncrementalTotalsMatchRecompute) {
   EXPECT_EQ(terminal.matches, d2.total);
   EXPECT_EQ((*engine)->stats().subscriptions, 0u);
   (*engine)->Drain();
+}
+
+TEST(QueryEngineSubscribeTest, SubscriptionsMatchDynamicRunnerPerEpoch) {
+  // Both front ends run the one S-BENU epoch step (MaintainEpoch): two
+  // live subscriptions of one engine must report, epoch by epoch, what a
+  // DynamicRunner per pattern reports for the same ops. The engine
+  // relabels by degree and the runners do not; match counts are
+  // invariant under relabeling, so the figures must be equal anyway.
+  const Graph data = std::move(GenerateErdosRenyi(80, 400, 43)).value();
+  const size_t n = data.NumVertices();
+  const std::vector<std::string> patterns = {"triangle", "q5"};
+  // Declared before the engine: its teardown fires the subscriptions'
+  // terminal done callbacks into these sinks.
+  std::vector<std::unique_ptr<SubscribeSink>> sinks;
+  std::vector<std::unique_ptr<DynamicRunner>> runners;
+  ServiceConfig config;
+  config.execution_threads = 2;
+  auto engine = QueryEngine::Create(data, config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  for (const std::string& name : patterns) {
+    sinks.push_back(std::make_unique<SubscribeSink>());
+    wire::QuerySpec spec;
+    spec.pattern = name;
+    spec.options = wire::kQuerySubscribe;
+    auto id = (*engine)->Submit(1, spec, sinks.back()->Done(), nullptr,
+                                sinks.back()->Delta());
+    ASSERT_TRUE(id.ok()) << name << ": " << id.status().ToString();
+    auto runner = DynamicRunner::Create(
+        MakeSimulatedTransport(data, 4, /*compress=*/true),
+        std::move(GetPattern(name)).value());
+    ASSERT_TRUE(runner.ok()) << runner.status().ToString();
+    auto baseline = (*runner)->RunBaseline();
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    EXPECT_EQ(sinks.back()->WaitFire(0).matches, *baseline) << name;
+    runners.push_back(std::move(runner).value());
+  }
+  EXPECT_EQ((*engine)->stats().subscriptions, 2u);
+
+  // Each epoch's ops, and the edge set they leave behind.
+  EdgeSet edges = EdgesOf(data);
+  std::vector<std::vector<EdgeDelta>> epochs;
+  std::vector<EdgeSet> after;
+  // Insert-only.
+  epochs.push_back(TakeInsertions(&edges, n, 16));
+  after.push_back(edges);
+  // Mixed: deletions and insertions in one batch.
+  epochs.push_back(TakeDeletions(&edges, 20));
+  for (const EdgeDelta& op : TakeInsertions(&edges, n, 10)) {
+    epochs.back().push_back(op);
+  }
+  after.push_back(edges);
+  // Ops that cancel to a no-op: an absent edge inserted then deleted, a
+  // present edge deleted then re-inserted, and a redundant insert.
+  const auto [pu, pv] = *edges.begin();
+  std::vector<EdgeDelta> absent = TakeInsertions(&edges, n, 1);
+  edges.erase(Norm(absent[0].u, absent[0].v));
+  epochs.push_back({absent[0],
+                    {absent[0].u, absent[0].v, /*insert=*/false},
+                    {pu, pv, /*insert=*/false},
+                    {pu, pv, /*insert=*/true},
+                    {pu, pv, /*insert=*/true}});
+  after.push_back(edges);
+
+  for (size_t e = 0; e < epochs.size(); ++e) {
+    const uint64_t target = e + 1;
+    ASSERT_TRUE((*engine)->StageDelta(target, epochs[e]).ok());
+    auto committed = (*engine)->CommitEpoch(target);
+    ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+    EXPECT_EQ(*committed, target);
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      auto report = runners[p]->ApplyBatch(epochs[e]);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      const wire::MatchDelta delta = sinks[p]->WaitDelta(e);
+      SCOPED_TRACE(patterns[p] + " epoch " + std::to_string(target));
+      EXPECT_EQ(delta.epoch, report->epoch);
+      EXPECT_EQ(delta.added, report->added);
+      EXPECT_EQ(delta.retracted, report->retracted);
+      EXPECT_EQ(delta.total, report->total);
+      EXPECT_EQ(delta.total, Recount(patterns[p], n, after[e]));
+      if (e == 0) EXPECT_GT(delta.added, 0u);
+      if (e == 1) EXPECT_GT(delta.retracted, 0u);
+      if (e == 2) {
+        EXPECT_EQ(report->net_inserted + report->net_removed, 0u);
+        EXPECT_EQ(delta.added + delta.retracted, 0u);
+      }
+    }
+  }
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    EXPECT_EQ(sinks[p]->deltas.size(), epochs.size());
+  }
 }
 
 TEST(ServiceServerTest, SubscribeOverTheWire) {
