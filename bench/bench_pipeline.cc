@@ -1,26 +1,22 @@
-// Asynchronous adjacency-pipeline bench: how much simulated KV-store
-// latency the prefetch pipeline hides behind backtracking compute.
+// Adjacency-lookahead bench: how many store round trips the batched
+// lookahead saves over the paper's per-miss DBQ.
 //
-// Sweeps store round-trip latency × fetch batch size × prefetch budget on
-// a DBQ-heavy workload (q5, the 5-cycle, whose candidate sets have no
-// locality) with a deliberately small DB cache, and compares the cluster's
-// virtual execution time across three pipeline modes:
+// Sweeps store round-trip latency × fetch batch size on a DBQ-heavy
+// workload (q5, the 5-cycle, whose candidate sets have no locality) with
+// a deliberately small DB cache, and compares two modes:
 //
 //   sync        prefetch_budget = 0 — the paper's per-miss DBQ: every
 //               cache miss is a synchronous store round trip on the
 //               task's critical path;
-//   inline      lookahead drained in batched multi-gets on the
+//   inline      lookahead fetched in batched multi-gets on the
 //               enumerating thread (the ClusterConfig default) —
-//               batching amortizes round trips, but nothing overlaps
-//               compute;
-//   async       background fetchers (async_prefetch) drain batched
-//               multi-gets while the executor descends — round trips
-//               amortized AND overlapped.
+//               batching amortizes round trips.
 //
-// Acceptance shape: at nonzero latency, async with a real batch size must
-// beat sync end to end (virtual_seconds), and every configuration —
-// including a forced-scalar (SIMD-disabled) run — must report the exact
-// same match count. Results go to BENCH_pipeline.json.
+// Acceptance shape: at batch 16 the inline lookahead's store round trips
+// (sync misses + batched round trips) must be fewer than sync's misses,
+// and every configuration — including a forced-scalar (SIMD-disabled)
+// run — must report the exact same match count. Results go to
+// BENCH_pipeline.json.
 
 #include <atomic>
 #include <chrono>
@@ -65,11 +61,8 @@ int main() {
   struct Mode {
     const char* name;
     size_t budget;
-    bool async;
   };
-  const Mode modes[] = {{"sync", 0, false},
-                        {"inline", 64, false},
-                        {"async", 64, true}};
+  const Mode modes[] = {{"sync", 0}, {"inline", 64}};
   const std::vector<double> latencies =
       SmokeScale() ? std::vector<double>{100.0}
                    : std::vector<double>{0.0, 100.0, 1000.0};
@@ -85,7 +78,6 @@ int main() {
     config.db_query_latency_us = latency_us;
     config.prefetch_budget = mode.budget;
     config.prefetch_batch_size = batch;
-    config.async_prefetch = mode.async;
     ClusterSimulator cluster(data, config);
     auto result = cluster.Run(plan->plan);
     BENU_CHECK(result.ok()) << result.status().ToString();
@@ -95,13 +87,18 @@ int main() {
   std::vector<BenchRecord> records;
   Count reference_matches = 0;
   bool have_reference = false;
-  // Per-latency sync baseline for the improvement column (batch size is
+  // Per-latency sync baseline for the improvement columns (batch size is
   // irrelevant to sync: it never issues a batched fetch).
   double sync_seconds = 0;
+  Count sync_queries = 0;
+  // Store round trips of a run: its synchronous misses plus its batched
+  // lookahead round trips.
+  const auto store_trips = [](const ClusterRunResult& r) {
+    return r.db_queries + r.prefetch_round_trips;
+  };
 
-  std::printf("  %-24s %12s %10s %12s %9s %12s %10s\n", "config",
-              "virt-time", "vs-sync", "hidden-comm", "overlap",
-              "round-trips", "pf-hits");
+  std::printf("  %-24s %12s %10s %12s %12s %10s\n", "config", "virt-time",
+              "vs-sync", "store-trips", "pf-trips", "pf-hits");
   for (double latency_us : latencies) {
     for (const Mode& mode : modes) {
       for (size_t batch : batch_sizes) {
@@ -117,7 +114,10 @@ int main() {
             << mode.name << " lat=" << latency_us << " batch=" << batch
             << " changed the match count: " << result.total_matches
             << " vs " << reference_matches;
-        if (mode.budget == 0) sync_seconds = result.virtual_seconds;
+        if (mode.budget == 0) {
+          sync_seconds = result.virtual_seconds;
+          sync_queries = result.db_queries;
+        }
 
         const std::string name = "lat" + std::to_string(
                                      static_cast<int>(latency_us)) +
@@ -125,12 +125,17 @@ int main() {
                                  mode.name;
         const double vs_sync =
             sync_seconds / std::max(1e-12, result.virtual_seconds);
-        std::printf("  %-24s %11.3fs %9.2fx %11.3fs %8.1f%% %12s %10s\n",
+        std::printf("  %-24s %11.3fs %9.2fx %12s %12s %10s\n",
                     name.c_str(), result.virtual_seconds, vs_sync,
-                    result.hidden_comm_seconds,
-                    100.0 * result.OverlapFraction(),
+                    HumanCount(store_trips(result)).c_str(),
                     HumanCount(result.prefetch_round_trips).c_str(),
                     HumanCount(result.prefetch_hits).c_str());
+        if (mode.budget > 0 && batch == 16) {
+          BENU_CHECK(store_trips(result) < sync_queries)
+              << name << ": lookahead made " << store_trips(result)
+              << " store round trips, not fewer than sync's "
+              << sync_queries << " misses";
+        }
 
         BenchRecord rec;
         rec.name = name;
@@ -142,9 +147,8 @@ int main() {
         rec.counters = {
             {"matches", static_cast<double>(result.total_matches)},
             {"speedup_vs_sync", vs_sync},
-            {"hidden_comm_seconds", result.hidden_comm_seconds},
             {"prefetch_comm_seconds", result.prefetch_comm_seconds},
-            {"overlap_fraction", result.OverlapFraction()},
+            {"store_round_trips", static_cast<double>(store_trips(result))},
             {"db_queries", static_cast<double>(result.db_queries)},
             {"prefetches_issued",
              static_cast<double>(result.prefetches_issued)},
@@ -160,58 +164,37 @@ int main() {
     std::printf("\n");
   }
 
-  // Determinism check: the async pipeline over the scalar kernels must
-  // still reproduce the exact match count (prefetch changes *when* an
+  // Determinism check: the lookahead over the scalar kernels must still
+  // reproduce the exact match count (prefetch changes *when* an
   // adjacency set arrives, never *what* the executor enumerates).
   {
     const bool simd_at_start = simd::SimdEnabled();
     simd::SetSimdEnabled(false);
     ClusterRunResult scalar =
-        run(latencies.back(), batch_sizes.back(), modes[2]);
+        run(latencies.back(), batch_sizes.back(), modes[1]);
     simd::SetSimdEnabled(simd_at_start);
     BENU_CHECK(scalar.total_matches == reference_matches)
-        << "forced-scalar async run changed the match count: "
+        << "forced-scalar inline run changed the match count: "
         << scalar.total_matches << " vs " << reference_matches;
-    std::printf("forced-scalar async run: %s matches — identical\n",
+    std::printf("forced-scalar inline run: %s matches — identical\n",
                 HumanCount(scalar.total_matches).c_str());
-  }
-
-  // Acceptance check: at the largest nonzero latency, async with the
-  // largest batch must beat the sync baseline end to end.
-  {
-    const double latency = latencies.back();
-    BENU_CHECK(latency > 0) << "sweep must include a nonzero latency";
-    ClusterRunResult sync_run = run(latency, batch_sizes.front(), modes[0]);
-    ClusterRunResult async_run = run(latency, batch_sizes.back(), modes[2]);
-    BENU_CHECK(async_run.virtual_seconds < sync_run.virtual_seconds)
-        << "async pipeline did not improve end-to-end virtual time: "
-        << async_run.virtual_seconds << "s vs " << sync_run.virtual_seconds
-        << "s at latency " << latency << "us";
-    std::printf("acceptance: async %.3fs < sync %.3fs at %.0fus latency "
-                "(%.2fx)\n",
-                async_run.virtual_seconds, sync_run.virtual_seconds, latency,
-                sync_run.virtual_seconds /
-                    std::max(1e-12, async_run.virtual_seconds));
   }
 
   // ------------------------------------------------------------------
   // Hybrid BFS/DFS sweep: ENU frontiers batched into governed region
-  // buffers, one wide prefetch per batch, drained DFS-style while the
-  // flights land. Under a finite memory budget the governor widens the
-  // prefetch budget and the multi-get batches with the available
-  // headroom, converting synchronous misses into overlapped pipeline
-  // traffic. Acceptance: >78% of all virtual communication hidden at
-  // 1ms latency, with the match count bit-identical to pure DFS across
-  // every degraded mode (inline drain, forced-scalar kernels,
-  // compression off).
+  // buffers, one wide prefetch per batch, then drained DFS-style. Under
+  // a finite memory budget the governor widens the prefetch budget and
+  // the multi-get batches with the available headroom, converting
+  // synchronous misses into batched lookahead traffic. Acceptance: the
+  // match count is bit-identical to pure DFS, also with forced-scalar
+  // kernels and with compression off.
   {
     const double latency = 1000.0;
     // Finite budget: cache residency settles at ~cache_bytes, so this
     // leaves the governor ~3/4 headroom in steady state — wide batches,
     // but still a real ceiling the frontier regions lease against.
     const size_t memory_budget = 4 * cache_bytes;
-    auto run_hybrid = [&](ExpansionMode expansion, bool async,
-                          bool compress) {
+    auto run_hybrid = [&](ExpansionMode expansion, bool compress) {
       ClusterConfig config;
       config.num_workers = 4;
       config.threads_per_worker = 4;
@@ -220,7 +203,6 @@ int main() {
       config.db_query_latency_us = latency;
       config.prefetch_budget = 64;
       config.prefetch_batch_size = 16;
-      config.async_prefetch = async;
       config.compress_adjacency = compress;
       config.expansion = expansion;
       config.memory_budget_bytes = memory_budget;
@@ -229,30 +211,27 @@ int main() {
       BENU_CHECK(result.ok()) << result.status().ToString();
       BENU_CHECK(result->total_matches == reference_matches)
           << (expansion == ExpansionMode::kHybrid ? "hybrid" : "dfs")
-          << (async ? "" : " inline")
           << (compress ? "" : " compression-off")
           << " changed the match count: " << result->total_matches << " vs "
           << reference_matches;
       return *std::move(result);
     };
 
-    const ClusterRunResult dfs_run =
-        run_hybrid(ExpansionMode::kDfs, true, true);
+    const ClusterRunResult dfs_run = run_hybrid(ExpansionMode::kDfs, true);
     const ClusterRunResult hybrid_run =
-        run_hybrid(ExpansionMode::kHybrid, true, true);
+        run_hybrid(ExpansionMode::kHybrid, true);
     std::printf(
         "\nHybrid expansion (budget %s, 1ms latency):\n"
-        "  %-24s %12s %12s %9s %12s\n",
+        "  %-24s %12s %12s %12s\n",
         HumanBytes(memory_budget).c_str(), "config", "virt-time",
-        "hidden-comm", "overlap", "round-trips");
+        "pf-comm", "round-trips");
     const struct {
       const char* name;
       const ClusterRunResult* r;
     } hybrid_rows[] = {{"dfs", &dfs_run}, {"hybrid", &hybrid_run}};
     for (const auto& row : hybrid_rows) {
-      std::printf("  %-24s %11.3fs %11.3fs %8.1f%% %12s\n", row.name,
-                  row.r->virtual_seconds, row.r->hidden_comm_seconds,
-                  100.0 * row.r->OverlapFraction(),
+      std::printf("  %-24s %11.3fs %11.3fs %12s\n", row.name,
+                  row.r->virtual_seconds, row.r->prefetch_comm_seconds,
                   HumanCount(row.r->prefetch_round_trips).c_str());
       BenchRecord rec;
       rec.name = std::string("hybrid/lat1000us/") + row.name;
@@ -262,53 +241,38 @@ int main() {
       rec.seconds = row.r->virtual_seconds;
       rec.counters = {
           {"matches", static_cast<double>(row.r->total_matches)},
-          {"hidden_comm_seconds", row.r->hidden_comm_seconds},
           {"prefetch_comm_seconds", row.r->prefetch_comm_seconds},
-          {"overlap_fraction", row.r->OverlapFraction()},
           {"db_queries", static_cast<double>(row.r->db_queries)},
           {"prefetch_round_trips",
            static_cast<double>(row.r->prefetch_round_trips)},
           {"prefetch_hits", static_cast<double>(row.r->prefetch_hits)}};
       records.push_back(std::move(rec));
     }
-    BENU_CHECK(hybrid_run.OverlapFraction() > 0.78)
-        << "hybrid expansion hid only "
-        << 100.0 * hybrid_run.OverlapFraction()
-        << "% of virtual communication at 1ms latency (need > 78%): hidden="
-        << hybrid_run.hidden_comm_seconds
-        << "s pipeline-total=" << hybrid_run.prefetch_comm_seconds << "s";
-    std::printf(
-        "acceptance: hybrid hides %.1f%% of communication (dfs pipeline: "
-        "%.1f%%) at 1000us latency\n",
-        100.0 * hybrid_run.OverlapFraction(),
-        100.0 * dfs_run.OverlapFraction());
 
-    // Count invariance across every degraded hybrid mode: inline-drained
-    // prefetch queue, scalar intersection kernels, raw (uncompressed)
-    // adjacency frames. The batched drain visits candidates in exactly
-    // the DFS order, so all of these are CHECKed bit-identical inside
-    // run_hybrid.
-    run_hybrid(ExpansionMode::kHybrid, false, true);
+    // Count invariance across the degraded hybrid modes: scalar
+    // intersection kernels and raw (uncompressed) adjacency frames. The
+    // batched lookahead visits candidates in exactly the DFS order, so
+    // both are CHECKed bit-identical inside run_hybrid.
     const bool simd_at_start = simd::SimdEnabled();
     simd::SetSimdEnabled(false);
-    run_hybrid(ExpansionMode::kHybrid, true, true);
+    run_hybrid(ExpansionMode::kHybrid, true);
     simd::SetSimdEnabled(simd_at_start);
-    run_hybrid(ExpansionMode::kHybrid, true, false);
+    run_hybrid(ExpansionMode::kHybrid, false);
     std::printf(
-        "inline, forced-scalar and compression-off hybrid runs: %s "
-        "matches — identical\n",
+        "forced-scalar and compression-off hybrid runs: %s matches — "
+        "identical\n",
         HumanCount(reference_matches).c_str());
   }
 
   // ------------------------------------------------------------------
   // Compression sweep: the delta+varint adjacency codec on vs off over
   // the same q5 workload. Compression must never change the match count
-  // (including forced-scalar and inline-prefetch runs) and must win
+  // (including a forced-scalar run) and must win
   // end to end at 1ms simulated store latency: encoded frames shrink the
   // modeled bandwidth term AND the same cache budget holds ~3x more
   // vertices, so fewer misses pay the 1ms round trip.
   {
-    auto run_codec = [&](double latency_us, bool compress, bool async) {
+    auto run_codec = [&](double latency_us, bool compress) {
       ClusterConfig config;
       config.num_workers = 4;
       config.threads_per_worker = 4;
@@ -317,14 +281,12 @@ int main() {
       config.db_query_latency_us = latency_us;
       config.prefetch_budget = 64;
       config.prefetch_batch_size = 16;
-      config.async_prefetch = async;
       config.compress_adjacency = compress;
       ClusterSimulator cluster(data, config);
       auto result = cluster.Run(plan->plan);
       BENU_CHECK(result.ok()) << result.status().ToString();
       BENU_CHECK(result->total_matches == reference_matches)
           << (compress ? "compressed" : "raw") << " lat=" << latency_us
-          << (async ? "" : " inline")
           << " changed the match count: " << result->total_matches << " vs "
           << reference_matches;
       return *std::move(result);
@@ -336,12 +298,12 @@ int main() {
     const std::vector<double> codec_latencies =
         SmokeScale() ? std::vector<double>{1000.0}
                      : std::vector<double>{0.0, 1000.0};
-    std::printf("\nCompression sweep (async, batch 16, budget 64):\n");
+    std::printf("\nCompression sweep (inline, batch 16, budget 64):\n");
     std::printf("  %-26s %12s %10s %12s %10s %12s\n", "config", "virt-time",
                 "vs-raw", "bytes", "ratio", "db-queries");
     for (double latency_us : codec_latencies) {
-      const ClusterRunResult raw_run = run_codec(latency_us, false, true);
-      const ClusterRunResult comp_run = run_codec(latency_us, true, true);
+      const ClusterRunResult raw_run = run_codec(latency_us, false);
+      const ClusterRunResult comp_run = run_codec(latency_us, true);
       const double ratio =
           static_cast<double>(total_bytes(raw_run)) /
           std::max(1.0, static_cast<double>(total_bytes(comp_run)));
@@ -388,18 +350,15 @@ int main() {
       }
     }
 
-    // Match-count invariance under the degraded modes: the scalar decode
-    // path and the inline-drained prefetch queue must enumerate exactly
-    // the same subgraphs from compressed payloads (checked in run_codec).
+    // Match-count invariance on the scalar decode path: it must
+    // enumerate exactly the same subgraphs from compressed payloads
+    // (checked in run_codec).
     const bool simd_at_start = simd::SimdEnabled();
     simd::SetSimdEnabled(false);
-    run_codec(codec_latencies.back(), true, true);
+    run_codec(codec_latencies.back(), true);
     simd::SetSimdEnabled(simd_at_start);
-    run_codec(codec_latencies.back(), true, false);
-    std::printf(
-        "forced-scalar and inline-drained compressed runs: %s matches — "
-        "identical\n",
-        HumanCount(reference_matches).c_str());
+    std::printf("forced-scalar compressed run: %s matches — identical\n",
+                HumanCount(reference_matches).c_str());
   }
 
   // ------------------------------------------------------------------
@@ -417,7 +376,6 @@ int main() {
     wire_options.cluster.db_cache_bytes = cache_bytes;
     wire_options.cluster.task_split_threshold = 100;
     wire_options.cluster.prefetch_budget = 16;
-    wire_options.cluster.async_prefetch = true;
     wire_options.relabel_by_degree = false;  // data is already relabeled
 
     auto bytes_over = [&](std::shared_ptr<Transport> transport) {
@@ -607,7 +565,6 @@ int main() {
     demo_options.cluster.db_cache_bytes = 4096;  // keep traffic flowing
     demo_options.cluster.task_split_threshold = 100;
     demo_options.cluster.prefetch_budget = 16;
-    demo_options.cluster.async_prefetch = true;
     demo_options.relabel_by_degree = false;
     auto sim_run = RunBenu(demo_graph, demo_pattern, demo_options);
     BENU_CHECK(sim_run.ok()) << sim_run.status().ToString();
@@ -675,10 +632,8 @@ int main() {
 
   WriteBenchJson("BENCH_pipeline.json", "pipeline", records);
   std::printf(
-      "\nShape check: hidden-comm grows with latency under async (the\n"
-      "pipeline moves round trips off the critical path); batch 16 beats\n"
-      "batch 1 by amortizing one round trip per partition per batch; and\n"
-      "inline sits between sync and async — it batches but cannot\n"
-      "overlap.\n");
+      "\nShape check: batch 16 needs fewer store round trips than batch 1\n"
+      "(one round trip per partition per batch), and at batch 16 the\n"
+      "lookahead makes fewer round trips than sync's per-miss DBQ.\n");
   return 0;
 }

@@ -303,13 +303,20 @@ Status DecodeAdjacencyReply(const Frame& frame, VertexId* key,
   out->clear();
   out->reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    out->push_back(ReadU32(frame.payload.data() + i * sizeof(VertexId)));
+    const VertexId v =
+        ReadU32(frame.payload.data() + i * sizeof(VertexId));
+    if (i > 0 && v <= out->back()) {
+      out->clear();
+      return Status::InvalidArgument(
+          "adjacency reply not strictly ascending");
+    }
+    out->push_back(v);
   }
   return Status::OK();
 }
 
 Status DecodeEncodedAdjacencyReply(const Frame& frame, VertexId* key,
-                                   codec::EncodedSet* out) {
+                                   codec::EncodedSet* out, VertexId* last) {
   if (frame.header.type != MessageType::kGetReply) {
     return WrongType("kGetReply", frame);
   }
@@ -323,7 +330,7 @@ Status DecodeEncodedAdjacencyReply(const Frame& frame, VertexId* key,
   const uint32_t count = ReadU32(frame.payload.data());
   const uint8_t* stream = frame.payload.data() + sizeof(uint32_t);
   const size_t stream_bytes = frame.payload.size() - sizeof(uint32_t);
-  BENU_RETURN_IF_ERROR(codec::Validate(stream, stream_bytes, count));
+  BENU_RETURN_IF_ERROR(codec::Validate(stream, stream_bytes, count, last));
   *key = static_cast<VertexId>(frame.header.aux);
   out->count = count;
   out->bytes.assign(stream, stream + stream_bytes);

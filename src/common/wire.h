@@ -377,15 +377,18 @@ inline bool FrameIsEncoded(const Frame& frame) {
 /// Typed payload decoders. Each validates the frame's type and payload
 /// shape. DecodeAdjacencyReply decodes a raw (unflagged) reply: it
 /// appends the entries to `*out` (cleared first), returns the key via
-/// `*key`, and rejects encoded replies.
+/// `*key`, and rejects encoded replies and entries that are not strictly
+/// ascending.
 StatusOr<VertexId> DecodeGetRequest(const Frame& frame);
 Status DecodeAdjacencyReply(const Frame& frame, VertexId* key,
                             VertexSet* out);
 /// Decodes an encoded adjacency reply without materializing the values:
 /// the varint stream is structurally validated (codec::Validate) and
-/// copied into `out`. Rejects raw (unflagged) replies.
+/// copied into `out`; `*last`, if given, receives the largest value of a
+/// non-empty set. Rejects raw (unflagged) replies.
 Status DecodeEncodedAdjacencyReply(const Frame& frame, VertexId* key,
-                                   codec::EncodedSet* out);
+                                   codec::EncodedSet* out,
+                                   VertexId* last = nullptr);
 StatusOr<std::vector<VertexId>> DecodeBatchGetRequest(const Frame& frame);
 StatusOr<HelloInfo> DecodeHelloReply(const Frame& frame);
 StatusOr<ServerStats> DecodeStatsReply(const Frame& frame);

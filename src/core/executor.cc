@@ -79,7 +79,7 @@ void CachedAdjacencyProvider::Prefetch(const VertexId* keys, size_t count) {
     // executes — a real cost, so surface it instead of dropping silently.
     dropped_counter_->Add(count - budget);
   }
-  cache_->PrefetchAsync(keys, std::min(count, budget));
+  cache_->Prefetch(keys, std::min(count, budget));
 }
 
 void TaskStats::Accumulate(const TaskStats& other) {
@@ -134,7 +134,7 @@ PlanExecutor::~PlanExecutor() {
     registry
         .GetCounter("executor.frontier.widenings", "1",
                     "frontier batches wider than the static prefetch "
-                    "budget (headroom bought extra overlap)")
+                    "budget (headroom bought a wider lookahead)")
         ->Add(frontier_widenings_);
   }
   for (size_t k = 0; k < kNumInstrKinds; ++k) {

@@ -84,10 +84,10 @@ class AdjacencyProvider {
   /// lifetime and pins it for the whole of every RunTask.
   virtual std::unique_ptr<DbCache::Reader> NewReader() { return nullptr; }
   /// Hints that GetAdjacency will soon be called for (a prefix of) the
-  /// given keys. Non-blocking; providers without a prefetch path ignore
-  /// it. The executor issues this per ENU instruction whose enumerated
-  /// vertex feeds a downstream DBQ, so level-i enumeration overlaps the
-  /// level-(i+1) fetch latency.
+  /// given keys; providers without a prefetch path ignore it. The
+  /// executor issues this per ENU instruction whose enumerated vertex
+  /// feeds a downstream DBQ, so the level-(i+1) misses are fetched in a
+  /// few batched round trips instead of one each.
   virtual void Prefetch(const VertexId* /*keys*/, size_t /*count*/) {}
   /// Number of data vertices (for the V(G) pseudo-operand and task
   /// generation).
@@ -112,7 +112,7 @@ class DirectAdjacencyProvider : public AdjacencyProvider {
 /// Adjacency provider through a worker's local DB cache (Fig. 2): a hit is
 /// free; a miss performs one remote query against the distributed store.
 /// `prefetch_budget` bounds the keys forwarded per Prefetch call to the
-/// cache's async pipeline; 0 disables prefetching entirely. With a
+/// cache's batched lookahead; 0 disables prefetching entirely. With a
 /// memory governor, the effective budget is the governor's dynamic
 /// headroom-scaled value instead of the static knob. Keys clamped off by
 /// the budget are counted in `executor.prefetch.dropped` — they surface

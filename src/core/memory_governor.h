@@ -85,7 +85,7 @@ class MemoryGovernor {
   /// (prefetching disabled stays disabled).
   size_t PrefetchBudget() const;
 
-  /// Dynamic multi-get batch size for the prefetch fetchers: the static
+  /// Dynamic multi-get batch size of the lookahead: the static
   /// base scaled by current headroom up to kMaxBatchWidening× (never
   /// below the base — shrinking batches only adds round trips).
   size_t PrefetchBatchSize() const;

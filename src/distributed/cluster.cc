@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/memory_governor.h"
 #include "distributed/cluster_accounting.h"
 #include "distributed/cluster_runtime.h"
@@ -68,8 +66,8 @@ StatusOr<ClusterRunResult> ClusterSimulator::Run(
   // instantiated when governed execution is requested — plain-DFS runs
   // (the default, incl. the byte-deterministic metrics workloads) touch
   // no governor state and emit no memory.governor.* instruments.
-  // Declared before the fetch pool and the workers: cache teardown (and
-  // late fetcher jobs) still report resident deltas to it.
+  // Declared before the workers: cache teardown still reports resident
+  // deltas to it.
   std::unique_ptr<MemoryGovernor> governor;
   if (config_.memory_budget_bytes > 0 ||
       config_.expansion != ExpansionMode::kDfs) {
@@ -78,38 +76,19 @@ StatusOr<ClusterRunResult> ClusterSimulator::Run(
                                                 config_.prefetch_batch_size);
   }
 
-  // Background fetchers of the opt-in asynchronous pipeline
-  // (ClusterConfig::async_prefetch; by default each cache drains its
-  // lookahead batches inline on the enumerating thread) live on their
-  // own pool: drain jobs must not queue behind the execution
-  // threads that block waiting for the very flights those jobs publish.
-  // Declared before the workers so it outlives (and can still run the
-  // jobs of) every cache during teardown.
-  const bool prefetch_enabled = config_.prefetch_budget > 0;
-  const bool async_prefetch = prefetch_enabled && config_.async_prefetch;
-  std::unique_ptr<ThreadPool> fetch_pool;
-  if (async_prefetch) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    const size_t fetch_threads = std::max<size_t>(
-        1, std::min<size_t>(static_cast<size_t>(p),
-                            hw > 0 ? static_cast<size_t>(hw) : 1));
-    fetch_pool = std::make_unique<ThreadPool>(fetch_threads);
-  }
-
   auto workers = SetUpWorkers(per_worker, plan, config_, store_.get(),
                               data_graph_.NumVertices(), exec_threads,
-                              &degree_floors, data_labels, fetch_pool.get(),
-                              governor.get());
+                              &degree_floors, data_labels, governor.get());
   BENU_RETURN_IF_ERROR(workers.status());
 
   result.runtime_threads = static_cast<int>(ExecuteWorkers(
-      *workers, config_, exec_threads, prefetch_enabled, total_watch));
+      *workers, config_, exec_threads, total_watch));
 
   // Aggregate in worker order so totals are independent of the actual
   // thread interleaving (integer totals per task are interleaving-
   // invariant; summation order here is fixed).
   for (const auto& worker : *workers) {
-    AccumulateWorker(*worker, config_, async_prefetch, &result);
+    AccumulateWorker(*worker, config_, &result);
   }
   result.real_seconds = total_watch.ElapsedSeconds();
   PublishRunMetrics(result);

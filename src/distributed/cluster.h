@@ -66,12 +66,6 @@ struct ClusterConfig {
   /// latency per partition per batch, so larger batches amortize
   /// latency (bytes are unchanged).
   size_t prefetch_batch_size = 16;
-  /// Hand lookahead batches to a background fetcher pool instead of
-  /// draining them inline on the enumerating thread (the default).
-  /// Identical fetches and match counts; the virtual-time model hides
-  /// the pool's communication behind compute, while the inline drain is
-  /// charged unhidden.
-  bool async_prefetch = false;
   /// ENU expansion mode of every executor (core/executor.h). kDfs is the
   /// seed behaviour; kHybrid materializes governor-leased frontier
   /// batches for wide prefetches and spills back to DFS near the memory
@@ -102,8 +96,7 @@ struct ClusterConfig {
 };
 
 /// Per-worker outcome of a run. Filled after all execution threads have
-/// joined (and, with prefetching on, after the worker's cache pipeline
-/// has quiesced), so every field is a settled total — no live counters.
+/// joined, so every field is a settled total — no live counters.
 struct WorkerSummary {
   /// Local search tasks assigned to this worker (after splitting).
   size_t tasks = 0;
@@ -116,22 +109,13 @@ struct WorkerSummary {
   Count steals = 0;
   /// Σ task virtual time (compute + simulated network), µs.
   double busy_virtual_us = 0;
-  /// Makespan of the worker's tasks list-scheduled on its threads, µs,
-  /// plus any prefetch communication that compute could not hide (see
-  /// hidden_comm_us).
+  /// Makespan of the worker's tasks list-scheduled on its threads, plus
+  /// prefetch_comm_us, µs.
   double makespan_virtual_us = 0;
-  /// Virtual prefetch communication overlapped with (hidden behind) the
-  /// worker's compute makespan, µs. The worker's prefetch pipeline costs
-  /// `prefetch_round_trips × latency + prefetch_bytes / bandwidth`; the
-  /// portion up to the compute makespan runs concurrently with
-  /// enumeration and never appears on the critical path, the residual is
-  /// added to makespan_virtual_us.
-  double hidden_comm_us = 0;
-  /// Total virtual communication of the worker's prefetch pipeline, µs
-  /// (`prefetch_round_trips × latency + prefetch_bytes / bandwidth` —
-  /// hidden or not). hidden_comm_us / prefetch_comm_us is the worker's
-  /// overlap fraction; synchronous task fetches are accounted inside the
-  /// per-task virtual times, not here.
+  /// Total virtual communication of the worker's lookahead batches, µs
+  /// (`prefetch_round_trips × latency + prefetch_bytes / bandwidth`);
+  /// synchronous task fetches are accounted inside the per-task virtual
+  /// times, not here.
   double prefetch_comm_us = 0;
   /// Real wall time from run start until the worker's last execution
   /// thread finished, seconds. Workers run concurrently, so these
@@ -188,14 +172,8 @@ struct ClusterRunResult {
   int execution_threads = 0;
   /// Cluster virtual execution time: max worker makespan, seconds.
   double virtual_seconds = 0;
-  /// Σ over workers of prefetch communication hidden behind compute,
-  /// seconds: the latency the pipeline moved off the critical path. In
-  /// the synchronous baseline this time sits inside virtual_seconds.
-  double hidden_comm_seconds = 0;
-  /// Σ over workers of the prefetch pipeline's total virtual
-  /// communication, seconds (round trips × latency + bytes / bandwidth,
-  /// hidden or not). The denominator of OverlapFraction(), matching the
-  /// `overlap` column of EXPERIMENTS.md.
+  /// Σ over workers of the lookahead batches' virtual communication,
+  /// seconds (round trips × latency + bytes / bandwidth).
   double prefetch_comm_seconds = 0;
   /// Real wall time of the in-process simulation, seconds.
   double real_seconds = 0;
@@ -207,17 +185,6 @@ struct ClusterRunResult {
     return adjacency_requests == 0
                ? 0.0
                : static_cast<double>(cache_hits) / adjacency_requests;
-  }
-
-  /// Fraction of the prefetch pipeline's communication hidden behind
-  /// compute (hidden_comm_seconds / prefetch_comm_seconds); 0 when the
-  /// pipeline was off. The pipeline-bench acceptance target (>0.78 in
-  /// hybrid mode) and the `overlap_fraction` field of
-  /// BENCH_pipeline.json records.
-  double OverlapFraction() const {
-    return prefetch_comm_seconds <= 0
-               ? 0.0
-               : hidden_comm_seconds / prefetch_comm_seconds;
   }
 };
 

@@ -29,8 +29,7 @@ double ListScheduleMakespan(const std::vector<double>& task_times,
 }
 
 void AccumulateWorker(const WorkerExecution& worker,
-                      const ClusterConfig& config, bool async_prefetch,
-                      ClusterRunResult* result) {
+                      const ClusterConfig& config, ClusterRunResult* result) {
   result->workers.emplace_back();
   WorkerSummary& summary = result->workers.back();
 
@@ -68,27 +67,17 @@ void AccumulateWorker(const WorkerExecution& worker,
   summary.real_seconds = worker.real_seconds;
   const double compute_makespan_us =
       ListScheduleMakespan(virtual_times, config.threads_per_worker);
-  // Overlap accounting (§2d): the worker's prefetch pipeline costs one
-  // round-trip latency per partition per batch plus the prefetched
-  // bytes over the bandwidth. Running asynchronously, it overlaps the
-  // compute makespan — the hidden portion never reaches the critical
-  // path; only the residual (a comm-bound worker) extends it. The
-  // inline drain (the default) fetches on the enumerating threads, so
-  // nothing is hidden and the full pipeline cost is serialized.
+  // Lookahead communication (§2d): one round-trip latency per partition
+  // per batch plus the prefetched bytes over the bandwidth. The
+  // enumerating threads fetch these batches themselves, so the whole
+  // cost lands on the worker's critical path.
   const double prefetch_comm_us =
       static_cast<double>(summary.cache.prefetch_round_trips) *
           config.db_query_latency_us +
       static_cast<double>(summary.cache.prefetch_bytes) /
           std::max(1e-9, config.network_bytes_per_us);
-  const double hidden_us =
-      async_prefetch ? std::min(prefetch_comm_us, compute_makespan_us) : 0.0;
-  summary.hidden_comm_us = hidden_us;
-  // hidden/prefetch_comm is the overlap fraction the hybrid mode
-  // optimizes: how much of the pipeline's traffic compute covered.
   summary.prefetch_comm_us = prefetch_comm_us;
-  summary.makespan_virtual_us =
-      compute_makespan_us + (prefetch_comm_us - hidden_us);
-  result->hidden_comm_seconds += hidden_us * 1e-6;
+  summary.makespan_virtual_us = compute_makespan_us + prefetch_comm_us;
   result->prefetch_comm_seconds += prefetch_comm_us * 1e-6;
   result->prefetches_issued += summary.cache.prefetches_issued;
   result->prefetch_hits += summary.cache.prefetch_hits;
@@ -155,20 +144,10 @@ void PublishRunMetrics(const ClusterRunResult& result) {
                 "virtual makespan of the last run (traced)")
       ->Set(result.virtual_seconds);
   registry
-      .GetGauge("cluster.hidden_comm_seconds", "s",
-                "prefetch communication hidden behind compute, last run "
-                "(traced)")
-      ->Set(result.hidden_comm_seconds);
-  registry
       .GetGauge("cluster.prefetch_comm_seconds", "s",
-                "total virtual communication of the prefetch pipeline "
-                "(hidden or not), last run (traced)")
+                "total virtual communication of the lookahead batches, "
+                "last run (traced)")
       ->Set(result.prefetch_comm_seconds);
-  registry
-      .GetGauge("cluster.overlap_fraction", "1",
-                "hidden_comm_seconds / prefetch_comm_seconds, last run "
-                "(traced)")
-      ->Set(result.OverlapFraction());
   registry
       .GetGauge("cluster.real_seconds", "s",
                 "wall time of the last run (traced)")
@@ -184,15 +163,11 @@ void PublishRunMetrics(const ClusterRunResult& result) {
       ->Set(result.execution_threads);
   metrics::Histogram* worker_makespan = registry.GetHistogram(
       "cluster.worker.makespan.us", "us",
-      "per-worker virtual makespans incl. unhidden prefetch residual "
+      "per-worker virtual makespans incl. lookahead communication "
       "(traced)");
-  metrics::Histogram* worker_hidden = registry.GetHistogram(
-      "cluster.worker.hidden_comm.us", "us",
-      "per-worker prefetch communication hidden behind compute (traced)");
   for (const WorkerSummary& summary : result.workers) {
     worker_makespan->Record(
         static_cast<uint64_t>(summary.makespan_virtual_us));
-    worker_hidden->Record(static_cast<uint64_t>(summary.hidden_comm_us));
   }
   metrics::Histogram* task_virtual = registry.GetHistogram(
       "cluster.task.virtual.us", "us",

@@ -23,14 +23,12 @@ double ListScheduleMakespan(const std::vector<double>& task_times,
 
 /// Folds one finished worker into `result` (appending its
 /// WorkerSummary): per-task virtual times (compute + latency per query
-/// and coalesced wait + bytes over bandwidth), the worker's list-
-/// scheduled compute makespan, and the prefetch-overlap split — with
-/// async prefetch the pipeline's communication hides behind compute up
-/// to the makespan, only the residual extends it. Must run in worker
-/// order so totals are independent of thread interleaving.
+/// and coalesced wait + bytes over bandwidth), and the worker's
+/// makespan: its list-scheduled compute makespan plus the lookahead's
+/// communication, which the enumerating threads wait out inline. Must
+/// run in worker order so totals are independent of thread interleaving.
 void AccumulateWorker(const WorkerExecution& worker,
-                      const ClusterConfig& config, bool async_prefetch,
-                      ClusterRunResult* result);
+                      const ClusterConfig& config, ClusterRunResult* result);
 
 /// Publishes the aggregated run outcome into the process-wide registry
 /// (`cluster.*`, docs/metrics.md). The ClusterRunResult stays the

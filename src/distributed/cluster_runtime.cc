@@ -32,15 +32,14 @@ StatusOr<std::vector<std::unique_ptr<WorkerExecution>>> SetUpWorkers(
     const ExecutionPlan& plan, const ClusterConfig& config,
     const DistributedKvStore* store, size_t num_vertices, int exec_threads,
     const std::vector<VertexId>* degree_floors,
-    const std::vector<int>* data_labels, ThreadPool* fetch_pool,
-    MemoryGovernor* governor) {
+    const std::vector<int>* data_labels, MemoryGovernor* governor) {
   std::vector<std::unique_ptr<WorkerExecution>> workers;
   workers.reserve(per_worker.size());
   for (const std::vector<SearchTask>& tasks : per_worker) {
     auto ws = std::make_unique<WorkerExecution>();
     ws->tasks = &tasks;
     ws->cache = std::make_unique<DbCache>(
-        store, config.db_cache_bytes, /*num_shards=*/8, fetch_pool,
+        store, config.db_cache_bytes, /*num_shards=*/8,
         config.prefetch_batch_size, governor);
     ws->provider = std::make_unique<CachedAdjacencyProvider>(
         ws->cache.get(), num_vertices, config.prefetch_budget, governor);
@@ -69,7 +68,7 @@ StatusOr<std::vector<std::unique_ptr<WorkerExecution>>> SetUpWorkers(
 
 size_t ExecuteWorkers(std::vector<std::unique_ptr<WorkerExecution>>& workers,
                       const ClusterConfig& config, int exec_threads,
-                      bool prefetch_enabled, const Stopwatch& total_watch) {
+                      const Stopwatch& total_watch) {
   // Per-worker runtime phase totals (§2e): time spent claiming/stealing
   // tasks vs executing them, accumulated thread-locally and flushed once
   // per thread. Only measured under tracing — two clock reads per task
@@ -162,13 +161,6 @@ size_t ExecuteWorkers(std::vector<std::unique_ptr<WorkerExecution>>& workers,
       }
     }
     pool.Wait();
-  }
-
-  // Quiesce the prefetch pipeline before anyone reads cache stats:
-  // in-flight fetcher jobs still mutate prefetch counters after the
-  // execution threads have finished.
-  if (prefetch_enabled) {
-    for (auto& ws : workers) ws->cache->WaitForPrefetches();
   }
   return pool_threads;
 }

@@ -57,8 +57,7 @@ int ClampExecutionThreads(int requested, bool allow_oversubscription);
 /// Builds the runtime state of every worker — DB cache, adjacency
 /// provider, per-thread executors/consumers/triangle caches, scheduler —
 /// before any of them runs, so executor-compile errors surface before a
-/// single task executes. `fetch_pool` may be null (no async prefetch).
-/// `governor` (may be null: ungoverned plain-DFS run) is shared by every
+/// single task executes. `governor` (may be null: ungoverned plain-DFS run) is shared by every
 /// worker's cache, provider and executors — one memory budget covers the
 /// whole run.
 StatusOr<std::vector<std::unique_ptr<WorkerExecution>>> SetUpWorkers(
@@ -66,17 +65,15 @@ StatusOr<std::vector<std::unique_ptr<WorkerExecution>>> SetUpWorkers(
     const ExecutionPlan& plan, const ClusterConfig& config,
     const DistributedKvStore* store, size_t num_vertices, int exec_threads,
     const std::vector<VertexId>* degree_floors,
-    const std::vector<int>* data_labels, ThreadPool* fetch_pool,
-    MemoryGovernor* governor = nullptr);
+    const std::vector<int>* data_labels, MemoryGovernor* governor = nullptr);
 
 /// Runs every worker's execution threads to completion on one shared
 /// pool sized by `config.max_runtime_threads` (0: hardware concurrency;
-/// 1 reproduces the sequential seed runtime and runs inline), then — when
-/// prefetching is on — quiesces every worker's prefetch pipeline so all
-/// cache stats are settled. Returns the pool size used.
+/// 1 reproduces the sequential seed runtime and runs inline). Returns the
+/// pool size used.
 size_t ExecuteWorkers(std::vector<std::unique_ptr<WorkerExecution>>& workers,
                       const ClusterConfig& config, int exec_threads,
-                      bool prefetch_enabled, const Stopwatch& total_watch);
+                      const Stopwatch& total_watch);
 
 }  // namespace benu
 

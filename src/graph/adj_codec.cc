@@ -102,9 +102,9 @@ void Encode(VertexSetView set, EncodedSet* out) {
 namespace {
 
 // Shared scan for Validate/DecodeValidated: checks structure and either
-// discards or emits the decoded values.
+// discards or emits the decoded values; `*last` receives the final one.
 Status ValidateImpl(const uint8_t* data, size_t size, uint32_t count,
-                    VertexSet* out) {
+                    VertexSet* out, VertexId* last) {
   const uint8_t* p = data;
   const uint8_t* end = data + size;
   uint32_t prev = 0xFFFFFFFFu;
@@ -152,20 +152,22 @@ Status ValidateImpl(const uint8_t* data, size_t size, uint32_t count,
     return Status::InvalidArgument(
         "encoded adjacency: trailing bytes after last value");
   }
+  if (last != nullptr && count > 0) *last = prev;
   return Status::OK();
 }
 
 }  // namespace
 
-Status Validate(const uint8_t* data, size_t size, uint32_t count) {
-  return ValidateImpl(data, size, count, nullptr);
+Status Validate(const uint8_t* data, size_t size, uint32_t count,
+                VertexId* last) {
+  return ValidateImpl(data, size, count, nullptr, last);
 }
 
 Status DecodeValidated(const uint8_t* data, size_t size, uint32_t count,
                        VertexSet* out) {
   out->clear();
   out->reserve(count);
-  Status st = ValidateImpl(data, size, count, out);
+  Status st = ValidateImpl(data, size, count, out, nullptr);
   if (!st.ok()) out->clear();
   return st;
 }

@@ -71,8 +71,10 @@ void Encode(VertexSetView set, EncodedSet* out);
 /// terminate within `size` bytes, every delta must be >= 1 and within
 /// 32-bit range, exactly `count` varints must consume exactly `size`
 /// bytes, and the decoded sequence must stay within 32 bits. O(size),
-/// no allocation.
-Status Validate(const uint8_t* data, size_t size, uint32_t count);
+/// no allocation. On success `*last`, if given, receives the largest
+/// (last) value; it is left untouched when `count` is 0.
+Status Validate(const uint8_t* data, size_t size, uint32_t count,
+                VertexId* last = nullptr);
 
 /// Validate() + full decode into `out` (cleared first).
 Status DecodeValidated(const uint8_t* data, size_t size, uint32_t count,

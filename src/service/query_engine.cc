@@ -121,14 +121,10 @@ Status QueryEngine::Start(std::shared_ptr<Transport> transport) {
   }
   vstore_ = std::make_unique<VersionedAdjacencyStore>(std::move(transport));
   store_ = vstore_.get();
-  if (config_.prefetch_budget > 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    fetch_pool_ = std::make_unique<ThreadPool>(
-        std::max<size_t>(1, std::min<size_t>(2, hw > 0 ? hw : 1)));
-  }
-  cache_ = std::make_unique<DbCache>(
-      store_, config_.db_cache_bytes, /*num_shards=*/8,
-      fetch_pool_.get(), config_.prefetch_batch_size, governor_.get());
+  cache_ = std::make_unique<DbCache>(store_, config_.db_cache_bytes,
+                                     /*num_shards=*/8,
+                                     config_.prefetch_batch_size,
+                                     governor_.get());
   provider_ = std::make_unique<CachedAdjacencyProvider>(
       cache_.get(), graph_.NumVertices(), config_.prefetch_budget,
       governor_.get());

@@ -16,7 +16,6 @@
 
 #include "common/status.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "common/wire.h"
 #include "core/executor.h"
 #include "core/match_consumer.h"
@@ -58,9 +57,10 @@ struct ServiceConfig {
   /// round-robin interleaving across queries and faster cancel unwind,
   /// at slightly more per-task overhead.
   uint32_t task_split_threshold = 64;
-  /// Per-ENU prefetch budget in keys (0 disables the async pipeline).
+  /// Per-ENU lookahead budget in keys, fetched inline by the executor
+  /// threads (0 disables lookahead).
   size_t prefetch_budget = 0;
-  /// Multi-get batch size of the background fetchers.
+  /// Keys per batched lookahead multi-get.
   size_t prefetch_batch_size = 16;
   /// Serve delta+varint encoded adjacency (only used when the engine
   /// builds its own simulated transport).
@@ -369,7 +369,6 @@ class QueryEngine {
   /// the engine's DistributedKvStore.
   std::unique_ptr<VersionedAdjacencyStore> vstore_;
   DistributedKvStore* store_ = nullptr;  ///< alias of vstore_
-  std::unique_ptr<ThreadPool> fetch_pool_;
   std::unique_ptr<DbCache> cache_;
   std::unique_ptr<CachedAdjacencyProvider> provider_;
 

@@ -1,21 +1,20 @@
 #include "storage/db_cache.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "core/memory_governor.h"
 
 namespace benu {
 
 DbCache::DbCache(const DistributedKvStore* store, size_t capacity_bytes,
-                 size_t num_shards, ThreadPool* fetch_pool,
-                 size_t prefetch_batch_size, MemoryGovernor* governor)
+                 size_t num_shards, size_t prefetch_batch_size,
+                 MemoryGovernor* governor)
     : store_(store),
       capacity_bytes_(capacity_bytes),
       num_vertices_(store->num_vertices()),
       table_(std::make_unique<std::atomic<Entry*>[]>(num_vertices_)),
-      fetch_pool_(fetch_pool),
       prefetch_batch_size_(prefetch_batch_size == 0 ? 1
                                                     : prefetch_batch_size),
       governor_(governor) {
@@ -34,13 +33,10 @@ DbCache::DbCache(const DistributedKvStore* store, size_t capacity_bytes,
       "lookups that waited on another thread's in-flight query (non-hits)");
   metrics_.prefetches_issued = registry.GetCounter(
       "db_cache.prefetches_issued", "1",
-      "keys enqueued by PrefetchAsync (not cached, not in flight)");
+      "keys fetched by Prefetch (not cached, not in flight)");
   metrics_.prefetch_hits = registry.GetCounter(
       "db_cache.prefetch_hits", "1",
-      "first-touch hits on prefetched entries (latency fully hidden)");
-  metrics_.prefetch_claimed = registry.GetCounter(
-      "db_cache.prefetch_claimed", "1",
-      "queued prefetches a Get claimed and fetched synchronously");
+      "first-touch hits on prefetched entries (no round trip of their own)");
   metrics_.prefetch_wasted = registry.GetCounter(
       "db_cache.prefetch_wasted", "1",
       "prefetched entries evicted or dropped without serving a hit");
@@ -73,17 +69,6 @@ DbCache::DbCache(const DistributedKvStore* store, size_t capacity_bytes,
 }
 
 DbCache::~DbCache() {
-  {
-    std::unique_lock<std::mutex> lock(prefetch_mu_);
-    shutting_down_ = true;
-    // Fetcher jobs referencing this cache must finish before the shards
-    // go away; the pool keeps running them by contract (it outlives the
-    // cache), so this wait terminates.
-    prefetch_idle_cv_.wait(lock, [this] { return active_jobs_ == 0; });
-  }
-  // Publish any flights no fetcher picked up, so a (misbehaving) waiter
-  // blocked in Get is released rather than deadlocked on teardown.
-  DrainQueue();
   {
     std::lock_guard<std::mutex> lock(readers_mu_);
     for (const auto& slot : readers_) {
@@ -182,23 +167,11 @@ DbCache::Reply DbCache::Get(VertexId v) {
     }
     auto fit = shard.inflight.find(v);
     if (fit != shard.inflight.end()) {
+      // Another thread (a Get primary or a Prefetch) is already fetching
+      // v: piggyback on its query.
       flight = fit->second;
-      int expected = kFlightQueued;
-      if (flight->state.compare_exchange_strong(expected, kFlightFetching)) {
-        // The key sits in the prefetch queue but no fetcher has picked
-        // it up: claim the flight and fetch synchronously. The stale
-        // queue entry is skipped when a fetcher eventually pops it.
-        ++shard.misses;
-        ++shard.prefetch_claimed;
-        metrics_.misses->Add(1);
-        metrics_.prefetch_claimed->Add(1);
-        primary = true;
-      } else {
-        // Another thread (Get primary or fetcher) is already fetching v:
-        // piggyback on its query.
-        ++shard.coalesced;
-        metrics_.coalesced->Add(1);
-      }
+      ++shard.coalesced;
+      metrics_.coalesced->Add(1);
     } else {
       ++shard.misses;
       metrics_.misses->Add(1);
@@ -373,8 +346,9 @@ void DbCache::Reclaim() {
   metrics_.retired_bytes->Add(-static_cast<double>(bytes));
 }
 
-void DbCache::PrefetchAsync(const VertexId* keys, size_t count) {
+void DbCache::Prefetch(const VertexId* keys, size_t count) {
   std::vector<VertexId> fresh;
+  std::vector<std::shared_ptr<Flight>> flights;
   for (size_t i = 0; i < count; ++i) {
     const VertexId v = keys[i];
     // Resident keys — every key on a warm cache — cost one lock-free
@@ -386,100 +360,45 @@ void DbCache::PrefetchAsync(const VertexId* keys, size_t count) {
     if (table_[v].load(std::memory_order_relaxed) != nullptr) {
       continue;  // landed since the probe
     }
-    if (shard.inflight.count(v) != 0) continue;  // already queued/fetching
-    if (fresh.empty()) fresh.reserve(count - i);
+    if (shard.inflight.count(v) != 0) continue;  // another thread fetches it
+    if (fresh.empty()) {
+      fresh.reserve(count - i);
+      flights.reserve(count - i);
+    }
     auto flight = std::make_shared<Flight>();
-    flight->state.store(kFlightQueued, std::memory_order_relaxed);
     flight->epoch.store(epoch_.load(std::memory_order_acquire),
                         std::memory_order_relaxed);
     shard.inflight.emplace(v, flight);
     ++shard.prefetches_issued;
     metrics_.prefetches_issued->Add(1);
     fresh.push_back(v);
+    flights.push_back(std::move(flight));
   }
-  if (fresh.empty()) return;
-  bool scheduled = false;
-  {
-    std::lock_guard<std::mutex> lock(prefetch_mu_);
-    prefetch_queue_.insert(prefetch_queue_.end(), fresh.begin(), fresh.end());
-    if (fetch_pool_ != nullptr && !shutting_down_) {
-      ++active_jobs_;
-      scheduled = true;
-    }
-  }
-  if (scheduled) {
-    fetch_pool_->Submit([this] {
-      DrainQueue();
-      std::lock_guard<std::mutex> lock(prefetch_mu_);
-      if (--active_jobs_ == 0) prefetch_idle_cv_.notify_all();
-    });
-  } else if (fetch_pool_ == nullptr) {
-    // No background fetcher (the default): drain inline on the calling
-    // thread, still through the batched multi-get (deterministic, no
-    // overlap).
-    DrainQueue();
-  }
-}
-
-void DbCache::DrainQueue() {
-  std::vector<VertexId> batch;
-  batch.reserve(prefetch_batch_size_);
-  for (;;) {
+  for (size_t begin = 0; begin < fresh.size();) {
     // With a governor the multi-get width breathes with memory headroom
-    // (re-read per batch — pressure can change while draining): wider
+    // (re-read per batch — pressure can change while fetching): wider
     // batches amortize more round-trip latency when memory is plentiful,
     // and fall back to the static knob near the cap.
     const size_t batch_limit = governor_ != nullptr
                                    ? governor_->PrefetchBatchSize()
                                    : prefetch_batch_size_;
-    batch.clear();
+    const std::span<const VertexId> batch(
+        fresh.data() + begin, std::min(batch_limit, fresh.size() - begin));
+    DistributedKvStore::BatchReply reply;
     {
-      std::lock_guard<std::mutex> lock(prefetch_mu_);
-      while (!prefetch_queue_.empty() && batch.size() < batch_limit) {
-        batch.push_back(prefetch_queue_.front());
-        prefetch_queue_.pop_front();
-      }
+      metrics::ScopedSpan span(metrics_.batch_fetch_us);
+      reply = store_->GetAdjacencyBatch(batch);
     }
-    if (batch.empty()) return;
-    FetchBatch(batch);
-  }
-}
-
-void DbCache::FetchBatch(const std::vector<VertexId>& batch) {
-  std::vector<VertexId> to_fetch;
-  std::vector<std::shared_ptr<Flight>> flights;
-  to_fetch.reserve(batch.size());
-  flights.reserve(batch.size());
-  for (VertexId v : batch) {
-    Shard& shard = ShardFor(v);
-    std::shared_ptr<Flight> flight;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.inflight.find(v);
-      if (it == shard.inflight.end()) continue;  // claimed and resolved
-      flight = it->second;
+    prefetch_round_trips_.fetch_add(reply.round_trips,
+                                    std::memory_order_relaxed);
+    prefetch_bytes_.fetch_add(reply.bytes, std::memory_order_relaxed);
+    metrics_.prefetch_round_trips->Add(reply.round_trips);
+    metrics_.prefetch_bytes->Add(reply.bytes);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      InsertAndPublish(batch[i], std::move(reply.values[i]),
+                       flights[begin + i], /*prefetched=*/true);
     }
-    int expected = kFlightQueued;
-    if (!flight->state.compare_exchange_strong(expected, kFlightFetching)) {
-      continue;  // a Get claimed this key and fetches it itself
-    }
-    to_fetch.push_back(v);
-    flights.push_back(std::move(flight));
-  }
-  if (to_fetch.empty()) return;
-  DistributedKvStore::BatchReply reply;
-  {
-    metrics::ScopedSpan span(metrics_.batch_fetch_us);
-    reply = store_->GetAdjacencyBatch(to_fetch);
-  }
-  prefetch_round_trips_.fetch_add(reply.round_trips,
-                                  std::memory_order_relaxed);
-  prefetch_bytes_.fetch_add(reply.bytes, std::memory_order_relaxed);
-  metrics_.prefetch_round_trips->Add(reply.round_trips);
-  metrics_.prefetch_bytes->Add(reply.bytes);
-  for (size_t i = 0; i < to_fetch.size(); ++i) {
-    InsertAndPublish(to_fetch[i], std::move(reply.values[i]), flights[i],
-                     /*prefetched=*/true);
+    begin += batch.size();
   }
 }
 
@@ -504,13 +423,6 @@ void DbCache::AdvanceEpoch(uint64_t epoch,
   Retire(&victims);
 }
 
-void DbCache::WaitForPrefetches() {
-  std::unique_lock<std::mutex> lock(prefetch_mu_);
-  prefetch_idle_cv_.wait(lock, [this] {
-    return active_jobs_ == 0 && prefetch_queue_.empty();
-  });
-}
-
 std::shared_ptr<const VertexSet> DbCache::GetAdjacency(VertexId v,
                                                        bool* was_hit) {
   Reader reader(this);
@@ -527,7 +439,6 @@ DbCacheStats DbCache::stats() const {
     total.misses += shard->misses;
     total.coalesced += shard->coalesced;
     total.prefetches_issued += shard->prefetches_issued;
-    total.prefetch_claimed += shard->prefetch_claimed;
     total.prefetch_wasted += shard->prefetch_wasted;
     total.epoch_invalidations += shard->epoch_invalidations;
   }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -20,7 +19,6 @@
 namespace benu {
 
 class MemoryGovernor;
-class ThreadPool;
 
 /// Hit/miss statistics of a database cache. Every lookup is counted in
 /// exactly one bucket: `hits` (served from cache), `misses` (this lookup
@@ -37,24 +35,20 @@ class ThreadPool;
 ///   StallRate() = (misses + coalesced) / Lookups() = 1 - HitRate()
 ///
 /// `misses` alone is the store-query rate: without prefetching it equals
-/// the number of store queries this cache issued. With the prefetch
-/// pipeline, background fetches add `prefetches_issued - prefetch_claimed`
-/// further store queries that belong to no lookup bucket (a converted
-/// prefetch surfaces later as a plain hit).
+/// the number of store queries this cache issued. With lookahead,
+/// Prefetch adds `prefetches_issued` further keys, fetched in batched
+/// multi-gets, that belong to no lookup bucket (a converted prefetch
+/// surfaces later as a plain hit).
 struct DbCacheStats {
   Count hits = 0;
   Count misses = 0;
   Count coalesced = 0;
 
-  /// Keys enqueued by PrefetchAsync (not already cached or in flight).
+  /// Keys fetched by Prefetch (not already cached or in flight).
   Count prefetches_issued = 0;
-  /// Hits served by a prefetched entry on its first touch: the fetch
-  /// latency was fully hidden from the requesting thread.
+  /// Hits served by a prefetched entry on its first touch: the lookup
+  /// needed no round trip of its own.
   Count prefetch_hits = 0;
-  /// Prefetched keys a Get claimed before any fetcher picked them up;
-  /// the Get fetched synchronously (counted in `misses`), so the
-  /// prefetch saved nothing.
-  Count prefetch_claimed = 0;
   /// Prefetched entries evicted — or never retained (zero/overflowed
   /// capacity, or fetched at a superseded epoch) — without serving a
   /// single hit: wasted fetch work.
@@ -62,9 +56,9 @@ struct DbCacheStats {
   /// Entries evicted by AdvanceEpoch's precise invalidation (their
   /// vertex was touched by an epoch's delta).
   Count epoch_invalidations = 0;
-  /// Round trips of the batched background fetches (one per partition
-  /// per batch) and their payload bytes; the cluster's overlap model
-  /// charges these against compute instead of task stall time.
+  /// Round trips of the batched lookahead fetches (one per partition
+  /// per batch) and their payload bytes; the cluster's virtual-time
+  /// model adds them to the worker's compute makespan.
   Count prefetch_round_trips = 0;
   Count prefetch_bytes = 0;
 
@@ -126,15 +120,12 @@ struct DbCacheStats {
 /// store while the others block on the in-flight entry and share its
 /// reply, so N racing threads cost one remote query instead of N.
 ///
-/// Prefetch pipeline (§2d of DESIGN.md): PrefetchAsync enqueues absent
-/// keys as *queued* flights into a pending queue drained through the
-/// store's batched multi-get — one round trip per partition per batch —
-/// inline on the calling thread, or by fetcher jobs on `fetch_pool` when
-/// one is given. A Get racing a queued flight claims it (CAS
-/// on the flight state) and fetches synchronously, so prefetching can
-/// never deadlock even if no fetcher ever runs; a Get racing an already
-/// fetching flight coalesces as usual. Prefetch-inserted entries are
-/// tagged so stats can tell converted hits from wasted fetches.
+/// Lookahead (§2d of DESIGN.md): Prefetch registers a flight for each
+/// absent key, then the calling thread fetches those keys through the
+/// store's batched multi-get — one round trip per partition per batch.
+/// A Get racing one of those keys coalesces on its flight as on any
+/// other. Prefetch-inserted entries are tagged so stats can tell
+/// converted hits from wasted fetches.
 class DbCache {
  private:
   struct ReaderSlot;
@@ -193,21 +184,15 @@ class DbCache {
 
   /// `capacity_bytes` == 0 disables caching (every get is a miss that
   /// goes to the store and is not retained; concurrent misses still
-  /// coalesce). `fetch_pool`, when non-null, services PrefetchAsync in
-  /// the background and must outlive the cache; when null (the default),
-  /// PrefetchAsync drains inline before returning — batched and
-  /// deterministic, but no overlap. `prefetch_batch_size` caps
-  /// the keys per batched multi-get a fetcher drains at once; with a
-  /// `governor` it is the base of the governor's headroom-scaled dynamic
-  /// batch size, and every insert/evict reports its resident-byte delta
-  /// to the governor so cache growth counts against the memory budget.
+  /// coalesce). `prefetch_batch_size` caps the keys per batched
+  /// multi-get of Prefetch; with a `governor` it is the base of the
+  /// governor's headroom-scaled dynamic batch size, and every
+  /// insert/evict reports its resident-byte delta to the governor so
+  /// cache growth counts against the memory budget.
   DbCache(const DistributedKvStore* store, size_t capacity_bytes,
-          size_t num_shards = 8, ThreadPool* fetch_pool = nullptr,
-          size_t prefetch_batch_size = 16,
+          size_t num_shards = 8, size_t prefetch_batch_size = 16,
           MemoryGovernor* governor = nullptr);
 
-  /// Waits for in-flight fetcher jobs, then drains any still-pending
-  /// prefetch keys inline so every flight is published before teardown.
   ~DbCache();
 
   DbCache(const DbCache&) = delete;
@@ -228,19 +213,14 @@ class DbCache {
   std::shared_ptr<const VertexSet> GetAdjacency(VertexId v,
                                                 bool* was_hit = nullptr);
 
-  /// Enqueues every key that is neither cached nor already in flight and
-  /// drains the queue inline in batched multi-gets before returning, or,
-  /// with a fetch pool, hands it to a background fetcher and returns
-  /// immediately. Resident keys cost one lock-free load each. Safe to
-  /// call concurrently with Get on the same keys — single-flight holds
-  /// across both paths, so the store sees at most one query per distinct
-  /// key while it stays cached.
-  void PrefetchAsync(const VertexId* keys, size_t count);
-
-  /// Blocks until no prefetch work is pending or running. Used before
-  /// reading stats for accounting and by tests; NOT needed for
-  /// correctness of Get (which claims or coalesces as appropriate).
-  void WaitForPrefetches();
+  /// Registers a flight for every key that is neither cached nor
+  /// already in flight, then fetches those keys on the calling thread,
+  /// in order, in batched multi-gets, and returns once all are
+  /// published. Resident keys cost one lock-free load each. Safe to call
+  /// concurrently with Get on the same keys — single-flight holds across
+  /// both, so the store sees at most one query per distinct key while it
+  /// stays cached.
+  void Prefetch(const VertexId* keys, size_t count);
 
   /// Moves the cache to `epoch`, precisely invalidating the entries of
   /// `touched` vertices (the EpochDelta's endpoint set) — untouched
@@ -297,17 +277,13 @@ class DbCache {
     std::atomic<uint64_t> era{0};
     bool in_use = false;  ///< guarded by readers_mu_
   };
-  /// One in-flight store query; waiters block on `ready_cv`. `state`
-  /// arbitrates who performs the fetch: prefetch flights start kQueued
-  /// and are claimed (kQueued -> kFetching, exactly once) either by a
-  /// fetcher job or by a racing Get; primary-miss flights start
-  /// kFetching.
+  /// One in-flight store query, fetched by the thread that registered
+  /// it; waiters block on `ready_cv`.
   struct Flight {
     std::mutex mu;
     std::condition_variable ready_cv;
     AdjacencyPayload value;
     bool ready = false;
-    std::atomic<int> state{kFlightFetching};
     /// Cache epoch the flight was created (or refetched) under; installs
     /// whose tag no longer matches the cache epoch are dropped. Atomic:
     /// waiters re-check it lock-free after wake.
@@ -321,13 +297,9 @@ class DbCache {
     Count misses = 0;
     Count coalesced = 0;
     Count prefetches_issued = 0;
-    Count prefetch_claimed = 0;
     Count prefetch_wasted = 0;
     Count epoch_invalidations = 0;
   };
-
-  static constexpr int kFlightQueued = 0;
-  static constexpr int kFlightFetching = 1;
 
   Shard& ShardFor(VertexId v) { return *shards_[v % shards_.size()]; }
   static size_t EntryBytes(const AdjacencyPayload& value) {
@@ -351,12 +323,6 @@ class DbCache {
   void Retire(std::list<Entry>* victims);
   /// Frees every retired entry that no pinned reader can still hold.
   void Reclaim();
-  /// Drains the pending prefetch queue in batches until it is empty.
-  void DrainQueue();
-  /// Fetches one batch of queued keys via the store's multi-get and
-  /// publishes the replies; keys whose flight a Get already claimed are
-  /// skipped.
-  void FetchBatch(const std::vector<VertexId>& batch);
 
   static constexpr size_t kEntryOverheadBytes = 32;
 
@@ -398,7 +364,6 @@ class DbCache {
     metrics::Counter* coalesced = nullptr;
     metrics::Counter* prefetches_issued = nullptr;
     metrics::Counter* prefetch_hits = nullptr;
-    metrics::Counter* prefetch_claimed = nullptr;
     metrics::Counter* prefetch_wasted = nullptr;
     metrics::Counter* epoch_invalidations = nullptr;
     metrics::Counter* prefetch_round_trips = nullptr;
@@ -411,16 +376,10 @@ class DbCache {
   };
   RegistryMirror metrics_;
 
-  ThreadPool* fetch_pool_;
   size_t prefetch_batch_size_;
   /// Optional memory governor (hybrid execution): receives resident-byte
   /// deltas and supplies the dynamic multi-get batch size.
   MemoryGovernor* governor_;
-  std::mutex prefetch_mu_;
-  std::condition_variable prefetch_idle_cv_;
-  std::deque<VertexId> prefetch_queue_;
-  size_t active_jobs_ = 0;  ///< fetcher jobs submitted or running
-  bool shutting_down_ = false;
   std::atomic<Count> prefetch_round_trips_{0};
   std::atomic<Count> prefetch_bytes_{0};
 };

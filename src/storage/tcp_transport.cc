@@ -822,33 +822,23 @@ class TcpTransport final : public Transport {
     return frame;
   }
 
-  /// Decodes one adjacency reply frame, raw or delta+varint encoded: the
-  /// server chooses (it answers raw when not encoding), so dispatch on
-  /// the frame's own encoding flag.
-  static Status DecodeAdjacencyFrame(const wire::Frame& frame, VertexId* key,
-                                     AdjacencyPayload* payload) {
-    Status s;
-    if (wire::FrameIsEncoded(frame)) {
-      auto set = std::make_shared<codec::EncodedSet>();
-      s = wire::DecodeEncodedAdjacencyReply(frame, key, set.get());
-      payload->encoded = std::move(set);
-    } else {
-      auto set = std::make_shared<VertexSet>();
-      s = wire::DecodeAdjacencyReply(frame, key, set.get());
-      payload->decoded = std::move(set);
-    }
+  /// Decodes one adjacency reply frame (DecodeAdjacencyPayload); a
+  /// corrupt, unsorted or out-of-range reply comes back as kUnavailable.
+  Status DecodeAdjacencyFrame(const wire::Frame& frame, VertexId* key,
+                              AdjacencyPayload* payload) const {
+    const Status s =
+        DecodeAdjacencyPayload(frame, layout_.num_vertices, key, payload);
     if (!s.ok()) {
       return Status::Unavailable("corrupt adjacency reply: " + s.message());
     }
-    payload->wire_bytes = frame.frame_bytes;
     return Status::OK();
   }
 
   /// Decodes a single-key adjacency reply. Corruption comes back as
   /// kUnavailable (retryable over a fresh connection), a kError frame as
   /// its app-level status (not retried).
-  static Status DecodeSingleAdjacency(const PendingCall& call, VertexId* key,
-                                      AdjacencyPayload* payload) {
+  Status DecodeSingleAdjacency(const PendingCall& call, VertexId* key,
+                               AdjacencyPayload* payload) const {
     auto frame = DecodeSingleFrame(call);
     BENU_RETURN_IF_ERROR(frame.status());
     if (frame->header.type == wire::MessageType::kError) {

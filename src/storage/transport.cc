@@ -281,27 +281,15 @@ class LoopbackTransport final : public Transport {
     return result;
   }
 
-  /// Decodes one adjacency reply frame, raw or encoded: the server
-  /// chooses (it answers raw when not encoding), so dispatch on the
-  /// frame's own encoding flag rather than on `compress_`.
-  static Status DecodeReply(const wire::Frame& frame, VertexId expected_key,
-                            AdjacencyPayload* payload) {
+  /// Decodes one adjacency reply frame that must answer `expected_key`.
+  Status DecodeReply(const wire::Frame& frame, VertexId expected_key,
+                     AdjacencyPayload* payload) const {
     VertexId key = kInvalidVertex;
-    if (wire::FrameIsEncoded(frame)) {
-      auto set = std::make_shared<codec::EncodedSet>();
-      BENU_RETURN_IF_ERROR(
-          wire::DecodeEncodedAdjacencyReply(frame, &key, set.get()));
-      payload->encoded = std::move(set);
-    } else {
-      auto set = std::make_shared<VertexSet>();
-      BENU_RETURN_IF_ERROR(
-          wire::DecodeAdjacencyReply(frame, &key, set.get()));
-      payload->decoded = std::move(set);
-    }
+    BENU_RETURN_IF_ERROR(
+        DecodeAdjacencyPayload(frame, graph_.NumVertices(), &key, payload));
     if (key != expected_key) {
       return Status::Internal("reply key mismatch");
     }
-    payload->wire_bytes = frame.frame_bytes;
     return Status::OK();
   }
 
@@ -313,6 +301,32 @@ class LoopbackTransport final : public Transport {
 };
 
 }  // namespace
+
+Status DecodeAdjacencyPayload(const wire::Frame& frame, size_t num_vertices,
+                              VertexId* key, AdjacencyPayload* payload) {
+  VertexId last = 0;
+  size_t count = 0;
+  if (wire::FrameIsEncoded(frame)) {
+    auto set = std::make_shared<codec::EncodedSet>();
+    BENU_RETURN_IF_ERROR(
+        wire::DecodeEncodedAdjacencyReply(frame, key, set.get(), &last));
+    count = set->count;
+    payload->encoded = std::move(set);
+  } else {
+    auto set = std::make_shared<VertexSet>();
+    BENU_RETURN_IF_ERROR(wire::DecodeAdjacencyReply(frame, key, set.get()));
+    count = set->size();
+    if (count > 0) last = set->back();
+    payload->decoded = std::move(set);
+  }
+  if (count > 0 && last >= num_vertices) {
+    return Status::InvalidArgument(
+        "adjacency reply holds vertex " + std::to_string(last) +
+        " of a graph with " + std::to_string(num_vertices) + " vertices");
+  }
+  payload->wire_bytes = frame.frame_bytes;
+  return Status::OK();
+}
 
 StatusOr<PreparedDataGraph> PrepareDataGraph(const Graph& data_graph,
                                              bool relabel_by_degree,

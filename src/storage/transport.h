@@ -15,6 +15,10 @@
 
 namespace benu {
 
+namespace wire {
+struct Frame;
+}  // namespace wire
+
 namespace metrics {
 class Counter;
 }  // namespace metrics
@@ -82,6 +86,15 @@ struct AdjacencyPayload {
   /// default-constructed payload.
   std::shared_ptr<const VertexSet> Materialize() const;
 };
+
+/// Decodes one adjacency reply frame into `payload` (with its wire_bytes),
+/// raw or delta+varint encoded as the frame's own flag says: a server
+/// answers raw when it does not encode. Returns the frame's key via
+/// `*key`. Rejects, with InvalidArgument, a set that is not strictly
+/// ascending or that holds an id >= `num_vertices`: the executor's
+/// kernels assume sorted sets, and the DB cache indexes by id.
+Status DecodeAdjacencyPayload(const wire::Frame& frame, size_t num_vertices,
+                              VertexId* key, AdjacencyPayload* payload);
 
 /// The communication layer beneath DistributedKvStore (DESIGN.md §2f):
 /// how a worker's adjacency requests reach the partitioned store. The

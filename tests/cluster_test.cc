@@ -111,7 +111,7 @@ TEST(ClusterTest, PrefetchPipelinePreservesCountsOnDbqHeavyPlans) {
   // every adjacency request is a store fetch, so the prefetch pipeline is
   // maximally exercised (nothing it inserts is ever retained). Match
   // counts must be bit-identical across the per-miss synchronous
-  // baseline, the inline lookahead drain and the async pipeline.
+  // baseline and the batched lookahead.
   auto raw = GenerateBarabasiAlbert(120, 5, 41);
   ASSERT_TRUE(raw.ok());
   Graph data = raw->RelabelByDegree();
@@ -125,12 +125,10 @@ TEST(ClusterTest, PrefetchPipelinePreservesCountsOnDbqHeavyPlans) {
     sync.prefetch_budget = 0;
     ClusterConfig inline_drain = sync;
     inline_drain.prefetch_budget = 32;
-    ClusterConfig async = inline_drain;
-    async.async_prefetch = true;
 
     Count reference = 0;
     bool first = true;
-    for (const ClusterConfig* config : {&sync, &inline_drain, &async}) {
+    for (const ClusterConfig* config : {&sync, &inline_drain}) {
       ClusterSimulator cluster(data, *config);
       auto result = cluster.Run(plan->plan);
       ASSERT_TRUE(result.ok()) << name;
@@ -138,50 +136,12 @@ TEST(ClusterTest, PrefetchPipelinePreservesCountsOnDbqHeavyPlans) {
         reference = result->total_matches;
         first = false;
         EXPECT_EQ(result->prefetches_issued, 0u) << name;
-        EXPECT_EQ(result->hidden_comm_seconds, 0.0) << name;
       } else {
         EXPECT_EQ(result->total_matches, reference) << name;
         EXPECT_GT(result->prefetches_issued, 0u) << name;
       }
-      if (config == &inline_drain) {
-        EXPECT_EQ(result->hidden_comm_seconds, 0.0) << name;
-      }
     }
   }
-}
-
-TEST(ClusterTest, AsyncPrefetchHidesCommunicationAtHighLatency) {
-  // With retention (a warm cache) and real store latency, the async
-  // pipeline must report hidden communication and must not be slower
-  // than the synchronous baseline in virtual time.
-  auto raw = GenerateBarabasiAlbert(300, 5, 21);
-  ASSERT_TRUE(raw.ok());
-  Graph data = raw->RelabelByDegree();
-  Graph p = std::move(GetPattern("q5")).value();
-  auto plan = GenerateBestPlan(p, DataGraphStats::FromGraph(data));
-  ASSERT_TRUE(plan.ok());
-
-  ClusterConfig sync = SmallCluster();
-  sync.db_cache_bytes = 4 << 10;  // small: constant miss pressure
-  sync.db_query_latency_us = 1000.0;
-  sync.prefetch_budget = 0;
-  ClusterConfig async = sync;
-  async.prefetch_budget = 64;
-  async.prefetch_batch_size = 16;
-  async.async_prefetch = true;
-
-  ClusterSimulator a(data, sync);
-  ClusterSimulator b(data, async);
-  auto ra = a.Run(plan->plan);
-  auto rb = b.Run(plan->plan);
-  ASSERT_TRUE(ra.ok());
-  ASSERT_TRUE(rb.ok());
-  EXPECT_EQ(ra->total_matches, rb->total_matches);
-  EXPECT_EQ(ra->hidden_comm_seconds, 0.0);
-  EXPECT_GT(rb->hidden_comm_seconds, 0.0);
-  EXPECT_GT(rb->prefetch_round_trips, 0u);
-  // Batched round trips are strictly fewer than the keys they carried.
-  EXPECT_LT(rb->prefetch_round_trips, rb->prefetches_issued);
 }
 
 TEST(ClusterTest, HybridExpansionPreservesCountsInEveryRegime) {
@@ -203,7 +163,6 @@ TEST(ClusterTest, HybridExpansionPreservesCountsInEveryRegime) {
     ClusterConfig dfs = SmallCluster();
     dfs.db_cache_bytes = 64 << 10;
     dfs.prefetch_budget = 16;
-    dfs.async_prefetch = true;
 
     ClusterConfig generous = dfs;
     generous.expansion = ExpansionMode::kHybrid;
@@ -233,9 +192,9 @@ TEST(ClusterTest, HybridExpansionPreservesCountsInEveryRegime) {
   }
 }
 
-TEST(ClusterTest, OverlapFractionIsConsistentWithItsParts) {
-  // hidden <= prefetch pipeline total, so the overlap fraction is a
-  // proper fraction; with the pipeline off it is exactly 0.
+TEST(ClusterTest, PrefetchCommIsConsistentWithItsParts) {
+  // The run's lookahead communication is the sum of its workers'; with
+  // lookahead off there is none.
   auto raw = GenerateBarabasiAlbert(150, 5, 23);
   ASSERT_TRUE(raw.ok());
   Graph data = raw->RelabelByDegree();
@@ -243,32 +202,26 @@ TEST(ClusterTest, OverlapFractionIsConsistentWithItsParts) {
   auto plan = GenerateBestPlan(p, DataGraphStats::FromGraph(data));
   ASSERT_TRUE(plan.ok());
 
-  ClusterConfig async = SmallCluster();
-  async.db_cache_bytes = 4 << 10;
-  async.db_query_latency_us = 500.0;
-  async.prefetch_budget = 32;
-  async.async_prefetch = true;
-  ClusterSimulator cluster(data, async);
+  ClusterConfig lookahead = SmallCluster();
+  lookahead.db_cache_bytes = 4 << 10;
+  lookahead.db_query_latency_us = 500.0;
+  lookahead.prefetch_budget = 32;
+  ClusterSimulator cluster(data, lookahead);
   auto result = cluster.Run(plan->plan);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->prefetch_comm_seconds, 0.0);
-  EXPECT_LE(result->hidden_comm_seconds,
-            result->prefetch_comm_seconds + 1e-9);
-  EXPECT_GT(result->OverlapFraction(), 0.0);
-  EXPECT_LE(result->OverlapFraction(), 1.0);
   double worker_prefetch_comm = 0;
   for (const WorkerSummary& w : result->workers) {
-    EXPECT_LE(w.hidden_comm_us, w.prefetch_comm_us + 1e-6);
     worker_prefetch_comm += w.prefetch_comm_us * 1e-6;
   }
   EXPECT_NEAR(worker_prefetch_comm, result->prefetch_comm_seconds, 1e-9);
 
-  ClusterConfig sync = async;
+  ClusterConfig sync = lookahead;
   sync.prefetch_budget = 0;
   ClusterSimulator sync_cluster(data, sync);
   auto sync_result = sync_cluster.Run(plan->plan);
   ASSERT_TRUE(sync_result.ok());
-  EXPECT_EQ(sync_result->OverlapFraction(), 0.0);
+  EXPECT_EQ(sync_result->prefetch_comm_seconds, 0.0);
   EXPECT_EQ(sync_result->total_matches, result->total_matches);
 }
 
@@ -281,7 +234,7 @@ TEST(ClusterTest, StatsAreInternallyConsistent) {
   ASSERT_TRUE(plan.ok());
   // The per-miss baseline keeps every fetch inside the tasks' virtual
   // times; the default lookahead adds worker-level prefetch
-  // communication, which the inline drain leaves unhidden.
+  // communication, which lands on the worker's makespan.
   ClusterConfig per_miss = SmallCluster();
   per_miss.prefetch_budget = 0;
   for (const ClusterConfig& config : {per_miss, SmallCluster()}) {
@@ -299,7 +252,6 @@ TEST(ClusterTest, StatsAreInternallyConsistent) {
       tasks_across_workers += w.tasks;
       coalesced_in_caches += w.cache.coalesced;
       if (lookahead) {
-        EXPECT_EQ(w.hidden_comm_us, 0.0);
         EXPECT_LE(w.makespan_virtual_us,
                   w.busy_virtual_us + w.prefetch_comm_us + 1e-6);
       } else {
@@ -440,9 +392,9 @@ TEST(ClusterTest, MakespanBoundsHold) {
   }
   EXPECT_GE(result->virtual_seconds * 1e6 + 1e-6, max_task);
 
-  // The default inline lookahead serializes its worker-level prefetch
+  // The default lookahead serializes its worker-level prefetch
   // communication after the list-scheduled tasks: the same bounds,
-  // shifted by exactly that unhidden communication.
+  // shifted by exactly that communication.
   ClusterConfig lookahead = config;
   lookahead.prefetch_budget = ClusterConfig{}.prefetch_budget;
   ClusterSimulator lookahead_cluster(data, lookahead);
@@ -451,7 +403,6 @@ TEST(ClusterTest, MakespanBoundsHold) {
   EXPECT_EQ(lookahead_result->total_matches, result->total_matches);
   EXPECT_GT(lookahead_result->prefetch_comm_seconds, 0.0);
   for (const WorkerSummary& w : lookahead_result->workers) {
-    EXPECT_EQ(w.hidden_comm_us, 0.0);
     EXPECT_LE(w.makespan_virtual_us - w.prefetch_comm_us,
               w.busy_virtual_us + 1e-6);
     EXPECT_GE(w.makespan_virtual_us - w.prefetch_comm_us + 1e-6,

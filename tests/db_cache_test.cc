@@ -178,8 +178,8 @@ TEST(DbCacheTest, ResidentBytesGaugeTracksLiveCaches) {
 }
 
 TEST(DbCacheTest, PrefetchAccountingIdentity) {
-  // Sync prefetch (null fetch pool) is deterministic: every prefetched
-  // key lands exactly once in hits / claimed / wasted / still-resident,
+  // Prefetch is deterministic: every prefetched key lands exactly once
+  // in hits / wasted / still-resident,
   // and a prefetched entry's first touch converts to prefetch_hits
   // exactly once — no drift between the issued and settled counts.
   Graph g = MakeCycle(64);
@@ -187,11 +187,9 @@ TEST(DbCacheTest, PrefetchAccountingIdentity) {
   DbCache cache(&store, 1 << 20, 1);
   std::vector<VertexId> keys;
   for (VertexId v = 0; v < 32; ++v) keys.push_back(v);
-  cache.PrefetchAsync(keys.data(), keys.size());
-  cache.WaitForPrefetches();
+  cache.Prefetch(keys.data(), keys.size());
   DbCacheStats stats = cache.stats();
   EXPECT_EQ(stats.prefetches_issued, 32u);
-  EXPECT_EQ(stats.prefetch_claimed, 0u);
   EXPECT_EQ(stats.prefetch_wasted, 0u);
 
   bool hit = false;
@@ -207,15 +205,14 @@ TEST(DbCacheTest, PrefetchAccountingIdentity) {
   cache.GetAdjacency(0, &hit);
   EXPECT_EQ(cache.stats().prefetch_hits, 32u);
   // Re-prefetching cached keys issues nothing.
-  cache.PrefetchAsync(keys.data(), keys.size());
-  cache.WaitForPrefetches();
+  cache.Prefetch(keys.data(), keys.size());
   EXPECT_EQ(cache.stats().prefetches_issued, 32u);
 }
 
 TEST(DbCacheTest, PrefetchOfResidentKeysFetchesNothing) {
   // The lookahead hands every prefetch-hinted ENU's candidates to the
   // cache; on a warm cache they are all resident, and must cost no
-  // prefetch, no queue entry and no store traffic.
+  // prefetch, no flight and no store traffic.
   Graph g = MakeCycle(64);
   DistributedKvStore store(g, 4);
   DbCache cache(&store, 1 << 20, 1);
@@ -226,16 +223,14 @@ TEST(DbCacheTest, PrefetchOfResidentKeysFetchesNothing) {
   }
   const Count queries = store.stats().queries.load();
   const Count batch_gets = store.stats().batch_gets.load();
-  cache.PrefetchAsync(keys.data(), keys.size());
-  cache.WaitForPrefetches();
+  cache.Prefetch(keys.data(), keys.size());
   EXPECT_EQ(cache.stats().prefetches_issued, 0u);
   EXPECT_EQ(store.stats().queries.load(), queries);
   EXPECT_EQ(store.stats().batch_gets.load(), batch_gets);
 
   // One absent key among the resident ones is the only key fetched.
   keys.push_back(40);
-  cache.PrefetchAsync(keys.data(), keys.size());
-  cache.WaitForPrefetches();
+  cache.Prefetch(keys.data(), keys.size());
   EXPECT_EQ(cache.stats().prefetches_issued, 1u);
   EXPECT_EQ(store.stats().batch_gets.load(), batch_gets + 1);
   bool hit = false;
@@ -250,8 +245,7 @@ TEST(DbCacheTest, EvictedPrefetchesCountAsWasted) {
   DbCache cache(&store, 2 * entry_bytes, 1);  // room for two entries
   std::vector<VertexId> keys;
   for (VertexId v = 0; v < 16; ++v) keys.push_back(v);
-  cache.PrefetchAsync(keys.data(), keys.size());
-  cache.WaitForPrefetches();
+  cache.Prefetch(keys.data(), keys.size());
   DbCacheStats stats = cache.stats();
   EXPECT_EQ(stats.prefetches_issued, 16u);
   // At most two prefetched entries can still be resident; every other
@@ -515,18 +509,17 @@ TEST(DbCacheEpochTest, InvalidatedEntryOutlivesThePinThatBorrowedIt) {
 TEST(DbCacheEpochTest, StalePrefetchCountsAsWastedAndIsDropped) {
   Graph g = MakeCycle(4);
   GatedStore store(g);
-  ThreadPool pool(1);
-  DbCache cache(&store, 1 << 20, /*num_shards=*/1, &pool);
+  DbCache cache(&store, 1 << 20, /*num_shards=*/1);
 
   store.Gate();
   const VertexId key = 1;
-  cache.PrefetchAsync(&key, 1);
+  std::thread prefetcher([&] { cache.Prefetch(&key, 1); });
   SpinUntil([&] { return store.fetches_started() >= 1; });
   store.BumpValue();
   const VertexId touched[] = {1};
   cache.AdvanceEpoch(1, touched);
   store.Release();
-  cache.WaitForPrefetches();
+  prefetcher.join();
   // The prefetched payload was fetched at epoch 0: it lands as wasted
   // work, not as a cache entry of epoch 1.
   EXPECT_EQ(cache.stats().prefetch_wasted, 1u);
@@ -534,6 +527,40 @@ TEST(DbCacheEpochTest, StalePrefetchCountsAsWastedAndIsDropped) {
   auto set = cache.GetAdjacency(1, &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(*set, (VertexSet{2}));  // fetched fresh at the new epoch
+}
+
+TEST(DbCacheTest, GetRacingAnInlinePrefetchCoalescesOnItsFlight) {
+  // A Get of a key another thread is prefetching waits on that thread's
+  // flight instead of querying the store itself.
+  Graph g = MakeCycle(4);
+  GatedStore store(g);
+  DbCache cache(&store, 1 << 20, /*num_shards=*/1);
+
+  store.Gate();
+  const VertexId key = 1;
+  std::thread prefetcher([&] { cache.Prefetch(&key, 1); });
+  SpinUntil([&] { return store.fetches_started() >= 1; });
+  DbCache::Outcome outcome = DbCache::Outcome::kHit;
+  VertexSet value;
+  std::thread getter([&] {
+    DbCache::Reader reader(&cache);
+    reader.Pin();
+    const DbCache::Reply reply = cache.Get(key);
+    outcome = reply.outcome;
+    value = *reply.value().decoded;
+  });
+  SpinUntil([&] { return cache.stats().coalesced >= 1; });
+  store.Release();
+  prefetcher.join();
+  getter.join();
+
+  EXPECT_EQ(outcome, DbCache::Outcome::kCoalesced);
+  EXPECT_EQ(value, (VertexSet{1}));
+  EXPECT_EQ(store.fetches_started(), 1);
+  const DbCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.coalesced, 1u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.prefetches_issued, 1u);
 }
 
 }  // namespace

@@ -56,8 +56,7 @@ constexpr int kOomExit = 42;
 BenuOptions Options(ExpansionMode expansion) {
   BenuOptions options;
   // Single worker, single thread: bad_alloc (if any) surfaces on the
-  // enumerating thread itself — the inline lookahead drain keeps the
-  // prefetch pipeline off background threads too.
+  // enumerating thread itself, which also does the lookahead's fetching.
   options.cluster.num_workers = 1;
   options.cluster.threads_per_worker = 1;
   options.cluster.execution_threads = 1;

@@ -304,10 +304,9 @@ TEST(MetricsIntegrationTest, DocsListEveryEmittedInstrument) {
   // clique4 exercises TRC + the triangle cache; q5 covers the rest.
   for (const char* name : {"q5", "clique4"}) {
     Graph pattern = std::move(GetPattern(name)).value();
-    // Async prefetch + 2 execution threads: fetch pool, steals and the
-    // coalesced/claimed paths all become reachable.
+    // Lookahead + 2 execution threads: batched fetches, steals and the
+    // coalesced path all become reachable.
     BenuOptions options = SingleThreadedOptions();
-    options.cluster.async_prefetch = true;
     options.cluster.execution_threads = 2;
     options.cluster.max_runtime_threads = 0;
     auto result = RunBenu(data, pattern, options);

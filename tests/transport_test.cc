@@ -153,6 +153,46 @@ TEST(WireTest, RejectsMalformedFrames) {
   EXPECT_FALSE(wire::DecodeFrame(truncated).ok());
 }
 
+TEST(WireTest, RejectsRawAdjacencyRepliesThatAreNotStrictlyAscending) {
+  // The executor's kernels assume sorted sets: a descending or duplicate
+  // raw reply must fail to decode instead of yielding wrong counts.
+  for (const VertexSet& bad : {VertexSet{5, 3}, VertexSet{1, 4, 4, 9}}) {
+    std::vector<uint8_t> buffer;
+    wire::AppendAdjacencyReply(2, VertexSetView(bad), &buffer);
+    auto frame = wire::DecodeFrame(buffer);
+    ASSERT_TRUE(frame.ok());
+    VertexId key = kInvalidVertex;
+    VertexSet out;
+    EXPECT_EQ(wire::DecodeAdjacencyReply(*frame, &key, &out).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(out.empty());
+  }
+}
+
+TEST(WireTest, AdjacencyPayloadRejectsIdsPastTheGraph) {
+  // An id >= num_vertices would later index the DB cache's table: both
+  // reply forms are range-checked where they enter the process.
+  const VertexSet adjacency{1, 7, 40};
+  std::vector<uint8_t> raw;
+  wire::AppendAdjacencyReply(3, VertexSetView(adjacency), &raw);
+  codec::EncodedSet encoded;
+  codec::Encode(VertexSetView(adjacency), &encoded);
+  std::vector<uint8_t> enc;
+  wire::AppendEncodedAdjacencyReply(3, encoded, &enc);
+  for (const auto* buffer : {&raw, &enc}) {
+    auto frame = wire::DecodeFrame(*buffer);
+    ASSERT_TRUE(frame.ok());
+    VertexId key = kInvalidVertex;
+    AdjacencyPayload payload;
+    EXPECT_EQ(DecodeAdjacencyPayload(*frame, 40, &key, &payload).code(),
+              StatusCode::kInvalidArgument);
+    ASSERT_TRUE(DecodeAdjacencyPayload(*frame, 41, &key, &payload).ok());
+    EXPECT_EQ(key, 3u);
+    EXPECT_EQ(*payload.Materialize(), adjacency);
+    EXPECT_EQ(payload.wire_bytes, buffer->size());
+  }
+}
+
 TEST(WireTest, EncodedAdjacencyReplyRoundTrips) {
   VertexSet adjacency{3, 5, 8, 1000000};
   codec::EncodedSet encoded;
@@ -997,13 +1037,20 @@ TEST(SocketIoTest, NoProgressReadTimesOutAsDeadlineExceeded) {
 // --- fault injection: misbehaving and dying servers -------------------
 
 /// A minimal hand-rolled TCP server speaking the wire protocol, with a
-/// scriptable fault: either it corrupts the key of the first batch reply
-/// it sends (then behaves), or it goes mute after the hello handshake.
+/// scriptable fault: it corrupts the key of the first batch reply it
+/// sends (then behaves), goes mute after the hello handshake, or breaks
+/// the first raw adjacency set of every reply — its two leading ids
+/// swapped (descending) or its second id pushed past the graph.
 /// Serves connections sequentially — the client under test reconnects
 /// after tearing a connection down, so one at a time is all it needs.
 class ScriptedTcpServer {
  public:
-  enum class Fault { kCorruptFirstBatchReply, kMuteAfterHello };
+  enum class Fault {
+    kCorruptFirstBatchReply,
+    kMuteAfterHello,
+    kDescendingReplies,
+    kOutOfRangeReplies,
+  };
 
   ScriptedTcpServer(const Graph* graph, size_t partitions, Fault fault)
       : server_(graph, partitions, 1, 0), fault_(fault) {
@@ -1057,6 +1104,19 @@ class ScriptedTcpServer {
         out[8] ^= 0x01;  // flip the key (aux) of the first reply frame
         corrupted_ = true;
       }
+      const bool adjacency_request =
+          frame->header.type == wire::MessageType::kGetRequest ||
+          frame->header.type == wire::MessageType::kBatchGetRequest;
+      // The first reply's payload starts after its 16-byte header; the
+      // graphs these faults serve give every vertex >= 2 neighbors.
+      if (adjacency_request && fault_ == Fault::kDescendingReplies) {
+        std::swap_ranges(out.begin() + 16, out.begin() + 20,
+                         out.begin() + 20);
+      }
+      if (adjacency_request && fault_ == Fault::kOutOfRangeReplies) {
+        std::fill(out.begin() + 20, out.begin() + 23, 0xFF);
+        out[23] = 0x7F;  // 0x7FFFFFFF, still ascending
+      }
       if (!net::WriteAll(fd, out).ok()) return;
     }
   }
@@ -1100,6 +1160,30 @@ TEST(TcpFaultTest, RecoversFromMidBatchCorruptReply) {
   ASSERT_TRUE(faults.ok());
   EXPECT_GE(faults->retries, 1u);
   EXPECT_GE(faults->reconnects, 1u);
+}
+
+TEST(TcpFaultTest, UnsortedOrOutOfRangeRepliesAreErrorsNotCrashes) {
+  Graph g = MakeCycle(12);  // every adjacency set holds two ids
+  for (const auto fault : {ScriptedTcpServer::Fault::kDescendingReplies,
+                           ScriptedTcpServer::Fault::kOutOfRangeReplies}) {
+    ScriptedTcpServer bad(&g, /*partitions=*/2, fault);
+    std::vector<ReplicaGroup> groups{{{{"127.0.0.1", bad.port()}}}};
+    TcpTransportOptions options = FastRetryOptions();
+    options.compress = false;  // raw replies, so the fault can edit ids
+    options.max_attempts = 2;
+    auto tcp = ConnectTcpTransport(groups, options);
+    ASSERT_TRUE(tcp.ok()) << tcp.status().ToString();
+
+    auto fetched = (*tcp)->Fetch(4);
+    EXPECT_FALSE(fetched.ok());
+    EXPECT_EQ(fetched.status().code(), StatusCode::kUnavailable)
+        << fetched.status().ToString();
+    const VertexId keys[] = {1, 2, 3};
+    auto batch = (*tcp)->FetchBatch(keys);
+    EXPECT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(), StatusCode::kUnavailable)
+        << batch.status().ToString();
+  }
 }
 
 TEST(TcpFaultTest, MuteServerSurfacesBoundedTimeout) {
