@@ -164,11 +164,11 @@ double TimeNs(size_t iters, Fn&& fn) {
   return best;
 }
 
-// Delta+varint codec suite: encode / decode throughput over realistic
-// (degree-relabeled BA) adjacency sets, and the fused encoded-operand
-// intersect against the decode-then-intersect fallback it replaces.
+// Delta+varint codec suite: encode and ingress-decode throughput over
+// realistic (degree-relabeled BA) adjacency sets. The decode is the one
+// every encoded reply pays where it enters the process
+// (codec::DecodeValidated: validation and decode in one pass).
 void RunCodecSuite(std::vector<bench::BenchRecord>* records) {
-  const bool simd_at_start = simd::SimdEnabled();
   Graph g = std::move(GenerateBarabasiAlbert(
                           bench::SmokeScale() ? 2000 : 20000, 8, 11))
                 .value()
@@ -187,23 +187,22 @@ void RunCodecSuite(std::vector<bench::BenchRecord>* records) {
                            ? static_cast<double>(raw_bytes) / encoded_bytes
                            : 1.0;
   std::printf("Adjacency codec (%zu sets, %.2fx compression)\n", n, ratio);
-  std::printf("%-28s %12s %10s %10s\n", "case", "ns/sweep", "GB/s",
-              "speedup");
+  std::printf("%-28s %12s %10s\n", "case", "ns/sweep", "GB/s");
 
   const size_t iters = bench::SmokeScale() ? 8 : 64;
-  auto emit = [&](const std::string& name, double ns, double gbps,
-                  double speedup) {
-    std::printf("%-28s %12.0f %10.2f %9.2fx\n", name.c_str(), ns, gbps,
-                speedup);
+  auto emit = [&](const std::string& name, double ns, double gbps) {
+    std::printf("%-28s %12.0f %10.2f\n", name.c_str(), ns, gbps);
     bench::BenchRecord rec;
     rec.name = "codec/" + name;
-    rec.params = {{"kernel_family", simd::ActiveKernelName()}};
     rec.repetitions = kTimeReps;
     rec.seconds = ns * 1e-9;
-    rec.counters = {{"gb_per_s", gbps},
-                    {"speedup", speedup},
-                    {"compression_ratio", ratio}};
+    rec.counters = {{"gb_per_s", gbps}, {"compression_ratio", ratio}};
     records->push_back(std::move(rec));
+  };
+  auto decode = [](const codec::EncodedSet& set, VertexSet* out) {
+    BENU_CHECK(codec::DecodeValidated(set.bytes.data(), set.bytes.size(),
+                                      set.count, out)
+                   .ok());
   };
 
   // Encode: one full-graph sweep per call, GB/s over the raw payload.
@@ -212,70 +211,32 @@ void RunCodecSuite(std::vector<bench::BenchRecord>* records) {
     const double ns = TimeNs(iters, [&] {
       for (VertexId v = 0; v < n; ++v) codec::Encode(g.Adjacency(v), &scratch);
     });
-    emit("encode", ns, static_cast<double>(raw_bytes) / ns, 1.0);
+    emit("encode", ns, static_cast<double>(raw_bytes) / ns);
   }
 
-  // Decode, scalar vs dispatched-SIMD, GB/s over the decoded payload.
-  double decode_scalar_ns = 0;
-  for (bool use_simd : {false, true}) {
-    const bool effective = simd::SetSimdEnabled(use_simd);
-    if (use_simd && !effective) continue;
+  // Decode, GB/s over the decoded payload.
+  {
     VertexSet out;
     const double ns = TimeNs(iters, [&] {
-      for (VertexId v = 0; v < n; ++v) codec::DecodeAll(encoded[v], &out);
+      for (VertexId v = 0; v < n; ++v) decode(encoded[v], &out);
     });
-    if (!use_simd) decode_scalar_ns = ns;
-    emit(std::string("decode/") + (use_simd ? "simd" : "scalar"), ns,
-         static_cast<double>(raw_bytes) / ns,
-         decode_scalar_ns > 0 ? decode_scalar_ns / ns : 1.0);
+    emit("decode", ns, static_cast<double>(raw_bytes) / ns);
   }
 
   // Large-set regime (a hub adjacency on a real data graph): dense
-  // clustered ids whose deltas are 1-2 varint bytes — where the block
-  // decoder and the fused kernels operate. The probe is a typical
-  // already-decoded operand two orders of magnitude smaller.
+  // clustered ids whose deltas are 1-2 varint bytes.
   Rng rng(7);
   const size_t big_n = bench::SmokeScale() ? 16384 : 262144;
   const VertexSet big = RandomSorted(&rng, big_n, 4 * big_n);
-  const VertexSet probe = RandomSorted(&rng, big_n / 64, 4 * big_n);
   codec::EncodedSet big_enc;
   codec::Encode(big, &big_enc);
   const double big_bytes = static_cast<double>(big.size()) * sizeof(VertexId);
   const size_t big_iters = bench::SmokeScale() ? 64 : 256;
-  double big_decode_scalar_ns = 0;
-  for (bool use_simd : {false, true}) {
-    const bool effective = simd::SetSimdEnabled(use_simd);
-    if (use_simd && !effective) continue;
-    const char* k = use_simd ? "simd" : "scalar";
+  {
     VertexSet out;
-    const double ns =
-        TimeNs(big_iters, [&] { codec::DecodeAll(big_enc, &out); });
-    if (!use_simd) big_decode_scalar_ns = ns;
-    emit(std::string("decode_hub/") + k, ns, big_bytes / ns,
-         big_decode_scalar_ns > 0 ? big_decode_scalar_ns / ns : 1.0);
+    const double ns = TimeNs(big_iters, [&] { decode(big_enc, &out); });
+    emit("decode_hub", ns, big_bytes / ns);
   }
-  // Fused encoded-intersect (streams the encoded hub set, probes the
-  // decoded operand) vs the fallback it replaces: materialize the hub
-  // set, then run the plain intersect kernel.
-  for (bool use_simd : {false, true}) {
-    const bool effective = simd::SetSimdEnabled(use_simd);
-    if (use_simd && !effective) continue;
-    const char* k = use_simd ? "simd" : "scalar";
-    VertexSet out, decoded;
-    const double decode_then_ns = TimeNs(big_iters, [&] {
-      codec::DecodeAll(big_enc, &decoded);
-      Intersect(decoded, probe, &out);
-    });
-    const double fused_ns = TimeNs(big_iters, [&] {
-      codec::IntersectEncoded(big_enc, probe, 0, kInvalidVertex, nullptr, 0,
-                              &out);
-    });
-    emit(std::string("decode_then_intersect/") + k, decode_then_ns,
-         big_bytes / decode_then_ns, 1.0);
-    emit(std::string("fused_intersect/") + k, fused_ns, big_bytes / fused_ns,
-         fused_ns > 0 ? decode_then_ns / fused_ns : 1.0);
-  }
-  simd::SetSimdEnabled(simd_at_start);
   std::printf("\n");
 }
 

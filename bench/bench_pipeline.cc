@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/wire.h"
 #include "graph/adj_codec.h"
 #include "graph/simd_intersect.h"
 #include "plan/plan_search.h"
@@ -266,11 +267,13 @@ int main() {
 
   // ------------------------------------------------------------------
   // Compression sweep: the delta+varint adjacency codec on vs off over
-  // the same q5 workload. Compression must never change the match count
-  // (including a forced-scalar run) and must win
-  // end to end at 1ms simulated store latency: encoded frames shrink the
-  // modeled bandwidth term AND the same cache budget holds ~3x more
-  // vertices, so fewer misses pay the 1ms round trip.
+  // the same q5 workload. The codec is wire only — payloads are decoded
+  // where they enter the process and the DB cache holds and charges raw
+  // sets either way — so both runs make the same store queries, and
+  // compression must never change the match count (including a
+  // forced-scalar run). It must still win end to end at 1ms simulated
+  // store latency, where the only difference is the modeled bandwidth
+  // term of the smaller encoded frames.
   {
     auto run_codec = [&](double latency_us, bool compress) {
       ClusterConfig config;
@@ -364,19 +367,42 @@ int main() {
   // ------------------------------------------------------------------
   // Wire-bytes acceptance: full q5 enumerations over the real backends
   // with the codec on vs off. transport.loopback.bytes and
-  // transport.tcp.bytes (measured per transport instance) must drop
-  // >= 2x with identical match counts.
+  // transport.tcp.bytes (measured per transport instance) must drop by
+  // at least the data graph's static ratio — every adjacency set's raw
+  // reply frame over its encoded one — with identical match counts.
+  // Access weighting favors the hubs, which encode best, so the static
+  // ratio is a floor for the end-to-end one.
+  //
+  // Each worker's cache here holds the whole graph in every shard, so
+  // nothing is evicted and each key crosses the wire at most once per
+  // worker: the section's cost is bounded by the graph, not by how
+  // often a small cache thrashes (CHECKed below).
   {
     constexpr size_t kWirePartitions = 8;
     constexpr size_t kWireServers = 2;
+    constexpr size_t kWireWorkers = 2;
+    constexpr size_t kCacheShards = 8;  // the DbCache default
     BenuOptions wire_options;
-    wire_options.cluster.num_workers = 2;
+    wire_options.cluster.num_workers = kWireWorkers;
     wire_options.cluster.threads_per_worker = 2;
     wire_options.cluster.db_partitions = kWirePartitions;
-    wire_options.cluster.db_cache_bytes = cache_bytes;
+    // Raw bytes plus a per-entry allowance above DbCache's overhead.
+    wire_options.cluster.db_cache_bytes =
+        kCacheShards * (graph_bytes + 64 * data.NumVertices());
     wire_options.cluster.task_split_threshold = 100;
     wire_options.cluster.prefetch_budget = 16;
     wire_options.relabel_by_degree = false;  // data is already relabeled
+
+    Count static_raw = 0;
+    Count static_comp = 0;
+    for (VertexId v = 0; v < data.NumVertices(); ++v) {
+      const VertexSetView adjacency = data.Adjacency(v);
+      static_raw += wire::AdjacencyReplyBytes(adjacency.size);
+      static_comp +=
+          wire::EncodedAdjacencyReplyBytes(codec::EncodedBytes(adjacency));
+    }
+    const double static_ratio = static_cast<double>(static_raw) /
+                                static_cast<double>(static_comp);
 
     auto bytes_over = [&](std::shared_ptr<Transport> transport) {
       wire_options.cluster.transport = std::move(transport);
@@ -385,6 +411,11 @@ int main() {
       BENU_CHECK(result->run.total_matches == reference_matches)
           << "wire run changed the match count: "
           << result->run.total_matches << " vs " << reference_matches;
+      const Count keys_fetched =
+          result->run.db_queries + result->run.prefetches_issued;
+      BENU_CHECK(keys_fetched <= kWireWorkers * data.NumVertices())
+          << "wire run fetched " << keys_fetched << " keys, more than "
+          << kWireWorkers << " per vertex: its caches evicted";
       const Count bytes = wire_options.cluster.transport->stats().bytes.load(
           std::memory_order_relaxed);
       wire_options.cluster.transport.reset();
@@ -420,7 +451,10 @@ int main() {
       Count comp_bytes;
     } wire_rows[] = {{"loopback", loop_raw, loop_comp},
                      {"tcp", tcp_raw_bytes, tcp_comp_bytes}};
-    std::printf("\nWire bytes, q5 end to end (codec off vs on):\n");
+    std::printf(
+        "\nWire bytes, q5 end to end (codec off vs on; static ratio "
+        "%.2fx):\n",
+        static_ratio);
     for (const auto& row : wire_rows) {
       const double ratio =
           static_cast<double>(row.raw_bytes) /
@@ -428,9 +462,10 @@ int main() {
       std::printf("  %-10s raw %10s   compressed %10s   %.2fx smaller\n",
                   row.backend, HumanBytes(row.raw_bytes).c_str(),
                   HumanBytes(row.comp_bytes).c_str(), ratio);
-      BENU_CHECK(ratio >= 2.0 || !codec::CompressionEnabled(true))
+      BENU_CHECK(ratio >= static_ratio || !codec::CompressionEnabled(true))
           << "transport." << row.backend << ".bytes dropped only " << ratio
-          << "x with compression on (need >= 2x): raw=" << row.raw_bytes
+          << "x with compression on (need >= the graph's static "
+          << static_ratio << "x): raw=" << row.raw_bytes
           << " compressed=" << row.comp_bytes;
       BenchRecord rec;
       rec.name = std::string("codec/wire/") + row.backend;
@@ -439,7 +474,8 @@ int main() {
       rec.counters = {
           {"bytes_raw", static_cast<double>(row.raw_bytes)},
           {"bytes_compressed", static_cast<double>(row.comp_bytes)},
-          {"bytes_ratio", ratio}};
+          {"bytes_ratio", ratio},
+          {"static_ratio", static_ratio}};
       records.push_back(std::move(rec));
     }
   }

@@ -316,7 +316,7 @@ Status DecodeAdjacencyReply(const Frame& frame, VertexId* key,
 }
 
 Status DecodeEncodedAdjacencyReply(const Frame& frame, VertexId* key,
-                                   codec::EncodedSet* out, VertexId* last) {
+                                   VertexSet* out) {
   if (frame.header.type != MessageType::kGetReply) {
     return WrongType("kGetReply", frame);
   }
@@ -330,10 +330,9 @@ Status DecodeEncodedAdjacencyReply(const Frame& frame, VertexId* key,
   const uint32_t count = ReadU32(frame.payload.data());
   const uint8_t* stream = frame.payload.data() + sizeof(uint32_t);
   const size_t stream_bytes = frame.payload.size() - sizeof(uint32_t);
-  BENU_RETURN_IF_ERROR(codec::Validate(stream, stream_bytes, count, last));
+  BENU_RETURN_IF_ERROR(
+      codec::DecodeValidated(stream, stream_bytes, count, out));
   *key = static_cast<VertexId>(frame.header.aux);
-  out->count = count;
-  out->bytes.assign(stream, stream + stream_bytes);
   return Status::OK();
 }
 

@@ -382,13 +382,12 @@ inline bool FrameIsEncoded(const Frame& frame) {
 StatusOr<VertexId> DecodeGetRequest(const Frame& frame);
 Status DecodeAdjacencyReply(const Frame& frame, VertexId* key,
                             VertexSet* out);
-/// Decodes an encoded adjacency reply without materializing the values:
-/// the varint stream is structurally validated (codec::Validate) and
-/// copied into `out`; `*last`, if given, receives the largest value of a
-/// non-empty set. Rejects raw (unflagged) replies.
+/// Decodes an encoded adjacency reply: the varint stream is validated
+/// and decoded in one pass (codec::DecodeValidated) into `*out`
+/// (cleared first, left empty on error), and the key returned via
+/// `*key`. Rejects raw (unflagged) replies.
 Status DecodeEncodedAdjacencyReply(const Frame& frame, VertexId* key,
-                                   codec::EncodedSet* out,
-                                   VertexId* last = nullptr);
+                                   VertexSet* out);
 StatusOr<std::vector<VertexId>> DecodeBatchGetRequest(const Frame& frame);
 StatusOr<HelloInfo> DecodeHelloReply(const Frame& frame);
 StatusOr<ServerStats> DecodeStatsReply(const Frame& frame);

@@ -53,18 +53,10 @@ AdjacencyProvider::Fetch CachedAdjacencyProvider::GetAdjacency(VertexId v) {
   // frame size on compressed transports) once.
   fetch.bytes =
       reply.outcome == DbCache::Outcome::kMiss ? value.wire_bytes : 0;
-  // Moving out of `reply.owned` leaves the pointees (and so the raw
-  // pointers taken here) in place; on a hit the owners stay null.
-  if (value.is_encoded()) {
-    // Hand the encoded payload through untouched: the executor's fused
-    // kernels intersect it without a decode, or SlotView materializes
-    // it on a plain-view use.
-    fetch.encoded = value.encoded.get();
-    fetch.encoded_owner = std::move(reply.owned.encoded);
-  } else {
-    fetch.view = VertexSetView(*value.decoded);
-    fetch.set = std::move(reply.owned.decoded);
-  }
+  // Moving out of `reply.owned` leaves the pointee (and so the view
+  // taken here) in place; on a hit the owner stays null.
+  fetch.view = VertexSetView(*value.decoded);
+  fetch.set = std::move(reply.owned.decoded);
   return fetch;
 }
 
@@ -113,8 +105,6 @@ PlanExecutor::PlanExecutor(const ExecutionPlan* plan,
 }
 
 PlanExecutor::~PlanExecutor() {
-  codec::NoteFusedIntersects(fused_intersects_);
-  codec::NoteFallbackDecodes(fallback_decodes_);
   auto& registry = metrics::MetricsRegistry::Global();
   if (frontier_batches_ != 0) {
     registry
@@ -333,25 +323,9 @@ Status PlanExecutor::Compile() {
   return Status::OK();
 }
 
-VertexSetView PlanExecutor::SlotView(int slot) {
-  BENU_CHECK(slot >= 0) << "V(G) pseudo-operand outside its fast path";
-  SetSlot& s = slots_[static_cast<size_t>(slot)];
-  if (EncodedOnly(slot) != nullptr) {
-    // Fallback materialization of an encoded slot (a use the fused
-    // kernels don't cover). Memoized: repeated views decode once.
-    auto decoded = std::make_shared<VertexSet>();
-    codec::DecodeAll(*s.encoded, decoded.get());
-    codec::NoteDecoded(decoded->size());
-    ++fallback_decodes_;
-    s.shared = std::move(decoded);
-    s.view = VertexSetView(*s.shared);
-  }
-  return s.view;
-}
-
 void PlanExecutor::ExecIntersect(const Compiled& ins) {
   SetSlot& out = slots_[static_cast<size_t>(ins.target_set_slot)];
-  out.ClearPayload();
+  out.shared.reset();
   VertexSet& result = out.owned;
   ++stats_.intersections;
 
@@ -389,47 +363,10 @@ void PlanExecutor::ExecIntersect(const Compiled& ins) {
   }
 
   if (ops.size() == 1) {
-    if (const codec::EncodedSet* enc = EncodedOnly(ops[0])) {
-      // Fused decode+clamp+exclude straight off the varint stream: the
-      // full set is never materialized.
-      codec::DecodeClamped(*enc, lo, hi, ne_values_.data(),
-                           ne_values_.size(), &result);
-      ++fused_intersects_;
-      out.view = VertexSetView(result);
-      return;
-    }
     const VertexSetView in = ClampView(SlotView(ops[0]), lo, hi);
     CopyExcluding(in, ne_values_.data(), ne_values_.size(), &result);
     out.view = VertexSetView(result);
     return;
-  }
-
-  if (ops.size() == 2) {
-    const codec::EncodedSet* enc0 = EncodedOnly(ops[0]);
-    const codec::EncodedSet* enc1 = EncodedOnly(ops[1]);
-    if (enc0 != nullptr || enc1 != nullptr) {
-      // At least one operand is still encoded: fuse the decode into the
-      // intersect. With both encoded, materialize the smaller (the
-      // kernel streams the encoded side but binary-probes `b`, so `b`
-      // should be the cheaper one to decode) and fuse the larger.
-      if (enc0 != nullptr && enc1 != nullptr) {
-        const int smaller = enc0->count <= enc1->count ? ops[0] : ops[1];
-        const codec::EncodedSet* larger =
-            enc0->count <= enc1->count ? enc1 : enc0;
-        codec::IntersectEncoded(*larger, SlotView(smaller), lo, hi,
-                                ne_values_.data(), ne_values_.size(),
-                                &result);
-      } else {
-        const codec::EncodedSet* enc = enc0 != nullptr ? enc0 : enc1;
-        const VertexSetView other =
-            SlotView(enc0 != nullptr ? ops[1] : ops[0]);
-        codec::IntersectEncoded(*enc, other, lo, hi, ne_values_.data(),
-                                ne_values_.size(), &result);
-      }
-      ++fused_intersects_;
-      out.view = VertexSetView(result);
-      return;
-    }
   }
 
   // Multi-way: order operands by ascending size so the cheapest pair is
@@ -483,14 +420,10 @@ void PlanExecutor::Exec(size_t pc) {
           stats_.bytes_fetched += fetch.bytes;
         }
         SetSlot& slot = slots_[static_cast<size_t>(ins.target_set_slot)];
-        // fetch.view and fetch.encoded stay valid across the moves: they
-        // point into the owned payload, the pinned cache entry (a hit)
-        // or provider storage (zero-copy). An encoded fetch leaves
-        // `view` empty until SlotView (or a fused kernel consuming
-        // `encoded` directly) needs it.
+        // fetch.view stays valid across the move: it points into the
+        // owned payload, the pinned cache entry (a hit) or provider
+        // storage (zero-copy).
         slot.shared = std::move(fetch.set);
-        slot.encoded_owner = std::move(fetch.encoded_owner);
-        slot.encoded = fetch.encoded;
         slot.view = fetch.view;
         break;
       }
@@ -501,7 +434,7 @@ void PlanExecutor::Exec(size_t pc) {
       case InstrType::kTriangleCache: {
         const VertexId neighbor = f_[static_cast<size_t>(ins.trc_neighbor_f)];
         SetSlot& slot = slots_[static_cast<size_t>(ins.target_set_slot)];
-        slot.ClearPayload();
+        slot.shared.reset();
         if (auto cached = tcache_->Lookup(neighbor)) {
           ++stats_.tcache_hits;
           slot.shared = std::move(cached);

@@ -7,11 +7,11 @@
 #include <memory>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/match_consumer.h"
 #include "core/region_buffer.h"
-#include "graph/adj_codec.h"
 #include "graph/graph.h"
 #include "graph/vertex_set.h"
 #include "plan/instruction.h"
@@ -50,23 +50,16 @@ enum class ExpansionMode {
 /// in-memory graph.
 class AdjacencyProvider {
  public:
-  /// A fetched adjacency set is either owned (`set` or `encoded_owner`
-  /// non-null) or borrowed (both null). Borrowed storage is the
-  /// provider's graph (DirectAdjacencyProvider, valid for the provider's
-  /// lifetime) or a DbCache entry (a cache hit, valid until the fetching
-  /// thread's reader unpins at the end of its task).
+  /// A fetched adjacency set is either owned (`set` non-null) or
+  /// borrowed (`set` null). Borrowed storage is the provider's graph
+  /// (DirectAdjacencyProvider, valid for the provider's lifetime) or a
+  /// DbCache entry (a cache hit, valid until the fetching thread's
+  /// reader unpins at the end of its task).
   struct Fetch {
-    /// Owns the decoded set when the provider hands it over (cache
-    /// misses and coalesced waits on raw transports).
+    /// Owns the set when the provider hands it over (cache misses and
+    /// coalesced waits).
     std::shared_ptr<const VertexSet> set;
-    /// Owns the encoded set when the provider hands it over.
-    std::shared_ptr<const codec::EncodedSet> encoded_owner;
-    /// Delta+varint-encoded payload, delivered when the provider sits on
-    /// a compressed transport. When non-null, `set` is null and `view`
-    /// is empty: the executor either fuses the encoded form into its
-    /// intersect kernels or decodes it on first plain-view use.
-    const codec::EncodedSet* encoded = nullptr;
-    /// The adjacency set itself; valid iff `encoded` is null.
+    /// The adjacency set itself.
     VertexSetView view;
     bool cache_hit = false;
     /// Miss served by piggybacking on another thread's in-flight store
@@ -253,27 +246,14 @@ class PlanExecutor {
   };
 
   // A set register: an owned scratch vector (INT results), a shared
-  // immutable set (owned DBQ replies, TRC results, memoized decodes), a
-  // borrowed DBQ set (cache hits, direct provider), or a still-encoded
-  // DBQ payload (compressed transports; `encoded_owner` owns it unless
-  // it is borrowed). An encoded slot has an empty `view` until SlotView
-  // materializes it; the fused intersect kernels consume `encoded`
-  // directly without ever materializing. Borrowed pointers are valid
-  // only in the task that set them, and every task writes a slot before
-  // reading it.
+  // immutable set (owned DBQ replies, TRC results) or a borrowed DBQ set
+  // (cache hits, direct provider). Borrowed pointers are valid only in
+  // the task that set them, and every task writes a slot before reading
+  // it.
   struct SetSlot {
     VertexSet owned;
     std::shared_ptr<const VertexSet> shared;
-    std::shared_ptr<const codec::EncodedSet> encoded_owner;
-    const codec::EncodedSet* encoded = nullptr;
     VertexSetView view;
-
-    /// Drops any DBQ / TRC payload before the slot is rewritten.
-    void ClearPayload() {
-      shared.reset();
-      encoded_owner.reset();
-      encoded = nullptr;
-    }
   };
 
   PlanExecutor(const ExecutionPlan* plan, AdjacencyProvider* provider,
@@ -294,16 +274,10 @@ class PlanExecutor {
   /// DFS-style, pop the region.
   void ExecEnumerateBatched(const Compiled& ins, VertexSetView candidates,
                             size_t begin, size_t end, size_t pc_next);
-  /// The slot as a plain view. A still-encoded slot is decoded here,
-  /// memoized into `shared` (counted as a codec fallback decode) — the
-  /// fused kernels avoid this path by consuming `encoded` directly.
-  VertexSetView SlotView(int slot);
-  /// The slot's encoded payload iff it has not been materialized yet
-  /// (null for raw slots and for -1/V(G)); fused-kernel dispatch test.
-  const codec::EncodedSet* EncodedOnly(int slot) const {
-    if (slot < 0) return nullptr;
-    const SetSlot& s = slots_[static_cast<size_t>(slot)];
-    return s.shared == nullptr ? s.encoded : nullptr;
+  /// The slot's set.
+  VertexSetView SlotView(int slot) const {
+    BENU_CHECK(slot >= 0) << "V(G) pseudo-operand outside its fast path";
+    return slots_[static_cast<size_t>(slot)].view;
   }
 
   // -------------------------------------------------------------------
@@ -364,18 +338,13 @@ class PlanExecutor {
   InstrTrace trace_;
   metrics::Histogram* task_span_us_ = nullptr;  // per-task wall µs (traced)
 
-  // codec.intersect.* accumulators, flushed once in the destructor so
-  // the hot loop bumps plain integers instead of registry counters.
-  uint64_t fused_intersects_ = 0;
-  uint64_t fallback_decodes_ = 0;
-
   // Hybrid expansion state (ConfigureExpansion). The frontier region
   // holds materialized candidate batches.
   ExpansionMode expansion_ = ExpansionMode::kDfs;
   MemoryGovernor* governor_ = nullptr;
   RegionBuffer frontier_;
-  // executor.frontier.* accumulators, flushed in the destructor like the
-  // codec counters above.
+  // executor.frontier.* accumulators, flushed once in the destructor so
+  // the hot loop bumps plain integers instead of registry counters.
   uint64_t frontier_batches_ = 0;    ///< batches materialized + drained
   uint64_t frontier_spills_ = 0;     ///< lease denials -> plain-DFS falls
   uint64_t frontier_widenings_ = 0;  ///< batches wider than the static budget

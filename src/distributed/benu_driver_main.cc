@@ -30,8 +30,9 @@
 //   server indexes, '|' separates replicas of one index).
 //
 // Compression knobs:
-//   --compress=0          disable delta+varint adjacency compression on
-//                         every hop (servers, client transports, sim)
+//   --compress=0          send adjacency raw on the wire (servers, client
+//                         transports, sim model); wire only: payloads
+//                         are decoded on arrival either way
 //   --driver-relabel=1    hand RunBenu the unrelabeled graph and let it
 //                         relabel internally, validating against the
 //                         transport's attested graph hash
@@ -131,9 +132,9 @@ int main(int argc, char** argv) {
       flags::Int64Value(argc, argv, "--expect-matches", -1);
   const bool compare_with_sim =
       flags::Has(argc, argv, "--compare-with-sim");
-  // --compress=0 disables delta+varint adjacency compression everywhere:
-  // spawned servers serve raw-only, client transports request raw frames
-  // and the sim backend skips pre-encoding.
+  // --compress=0 disables delta+varint adjacency on the wire: spawned
+  // servers serve raw-only, client transports request raw frames and
+  // the sim backend models raw frame sizes.
   const bool compress = flags::BoolValue(argc, argv, "--compress", true);
   // --driver-relabel=1 hands RunBenu the *un*relabeled graph with
   // relabel_by_degree on, exercising the graph-hash handshake against a

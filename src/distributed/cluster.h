@@ -77,12 +77,12 @@ struct ClusterConfig {
   /// A MemoryGovernor is instantiated iff this is nonzero or `expansion`
   /// != kDfs, so plain-DFS runs carry no governor overhead.
   size_t memory_budget_bytes = 0;
-  /// Serve adjacency sets delta+varint-compressed from the internal
-  /// simulated transport (graph/adj_codec.h). Match counts and query
-  /// counts are unchanged; bytes_fetched / prefetch_bytes shrink to the
-  /// encoded frame sizes. Subject to the BENU_DISABLE_COMPRESSION
-  /// kill-switch; ignored when `transport` is non-null (an external
-  /// transport negotiates compression itself).
+  /// Model delta+varint encoded reply frames on the internal simulated
+  /// transport (graph/adj_codec.h): wire only. Payloads, the DB cache's
+  /// charge and every count are unchanged; bytes_fetched /
+  /// prefetch_bytes shrink to the encoded frame sizes. Subject to the
+  /// BENU_DISABLE_COMPRESSION kill-switch; ignored when `transport` is
+  /// non-null (an external transport negotiates compression itself).
   bool compress_adjacency = true;
   /// Communication backend of the KV store (storage/transport.h). Null —
   /// the default — builds the in-process simulated transport from the

@@ -1,10 +1,8 @@
 #include "graph/adj_codec.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "common/metrics.h"
-#include "graph/simd_intersect.h"
 
 namespace benu::codec {
 namespace {
@@ -29,8 +27,6 @@ struct CodecCounters {
   metrics::Counter* encode_bytes_encoded;
   metrics::Counter* decode_sets;
   metrics::Counter* decode_values;
-  metrics::Counter* intersect_fused;
-  metrics::Counter* intersect_fallback;
 };
 
 CodecCounters& Counters() {
@@ -46,30 +42,14 @@ CodecCounters& Counters() {
         "codec.encode.bytes_encoded", "By",
         "payload bytes after delta+varint encoding");
     n.decode_sets = reg.GetCounter(
-        "codec.decode.sets", "1", "encoded sets fully materialized");
+        "codec.decode.sets", "1",
+        "encoded replies decoded once, where they enter the process");
     n.decode_values = reg.GetCounter(
         "codec.decode.values", "1",
-        "values decoded by full materializations");
-    n.intersect_fused = reg.GetCounter(
-        "codec.intersect.fused", "1",
-        "intersections served by the fused encoded kernels");
-    n.intersect_fallback = reg.GetCounter(
-        "codec.intersect.fallback_decodes", "1",
-        "operand materializations the fused kernels could not avoid");
+        "vertex ids produced by those decodes");
     return n;
   }();
   return c;
-}
-
-// Decode block driven through the cursor by the fused kernels: big
-// enough to amortize the cursor dispatch, small enough to stay in L1.
-constexpr size_t kFusedBlock = 256;
-
-bool Excluded(VertexId v, const VertexId* excludes, size_t n) {
-  for (size_t k = 0; k < n; ++k) {
-    if (excludes[k] == v) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -99,12 +79,27 @@ void Encode(VertexSetView set, EncodedSet* out) {
   }
 }
 
+size_t EncodedBytes(VertexSetView set) {
+  size_t bytes = 0;
+  uint64_t prev_plus_one = 0;  // the shifted previous value, v[i-1] + 1
+  for (size_t i = 0; i < set.size; ++i) {
+    const uint64_t shifted = static_cast<uint64_t>(set.data[i]) + 1;
+    uint64_t delta = shifted - prev_plus_one;
+    prev_plus_one = shifted;
+    do {
+      ++bytes;
+      delta >>= 7;
+    } while (delta != 0);
+  }
+  return bytes;
+}
+
 namespace {
 
 // Shared scan for Validate/DecodeValidated: checks structure and either
-// discards or emits the decoded values; `*last` receives the final one.
+// discards or emits the decoded values.
 Status ValidateImpl(const uint8_t* data, size_t size, uint32_t count,
-                    VertexSet* out, VertexId* last) {
+                    VertexSet* out) {
   const uint8_t* p = data;
   const uint8_t* end = data + size;
   uint32_t prev = 0xFFFFFFFFu;
@@ -152,204 +147,24 @@ Status ValidateImpl(const uint8_t* data, size_t size, uint32_t count,
     return Status::InvalidArgument(
         "encoded adjacency: trailing bytes after last value");
   }
-  if (last != nullptr && count > 0) *last = prev;
   return Status::OK();
 }
 
 }  // namespace
 
-Status Validate(const uint8_t* data, size_t size, uint32_t count,
-                VertexId* last) {
-  return ValidateImpl(data, size, count, nullptr, last);
+Status Validate(const uint8_t* data, size_t size, uint32_t count) {
+  return ValidateImpl(data, size, count, nullptr);
 }
 
 Status DecodeValidated(const uint8_t* data, size_t size, uint32_t count,
                        VertexSet* out) {
   out->clear();
-  out->reserve(count);
-  Status st = ValidateImpl(data, size, count, out, nullptr);
+  // Every varint takes at least one byte, so `size` bounds a count read
+  // off the wire before anything is allocated for it.
+  out->reserve(count < size ? count : size);
+  Status st = ValidateImpl(data, size, count, out);
   if (!st.ok()) out->clear();
   return st;
-}
-
-DecodeCursor::DecodeCursor(const uint8_t* data, size_t size, uint32_t count)
-    : p_(data), end_(data + size), remaining_(count) {}
-
-size_t DecodeCursor::Next(VertexId* out, size_t max) {
-  size_t n = 0;
-  if (max > remaining_) max = remaining_;
-  // The vector decoder needs a couple of 8-value runs to pay for its
-  // setup; short sets (the common case in graph sweeps) stay scalar.
-  const bool use_simd = simd::SimdEnabled() && max >= 16;
-  while (n < max) {
-    if (use_simd) {
-      n += simd::DecodeDeltaBlocksAvx2(&p_, end_, &prev_, out + n, max - n);
-      if (n >= max) break;
-    }
-    // Scalar decode of one varint; re-probes the vector path afterwards
-    // so a lone multi-byte delta does not demote the whole stream.
-    uint32_t delta = 0;
-    int shift = 0;
-    uint8_t byte;
-    do {
-      byte = *p_++;
-      delta |= static_cast<uint32_t>(byte & 0x7F) << shift;
-      shift += 7;
-    } while ((byte & 0x80) != 0);
-    prev_ += delta;  // wraps correctly for the shifted first entry
-    out[n++] = prev_;
-  }
-  remaining_ -= static_cast<uint32_t>(n);
-  return n;
-}
-
-void DecodeAll(const EncodedSet& set, VertexSet* out) {
-  out->resize(set.count);
-  DecodeCursor cursor(set);
-  cursor.Next(out->data(), set.count);
-}
-
-void DecodeClamped(const EncodedSet& set, VertexId lo, VertexId hi,
-                   const VertexId* excludes, size_t n_excludes,
-                   VertexSet* out) {
-  out->clear();
-  if (lo >= hi || set.count == 0) return;
-  DecodeCursor cursor(set);
-  VertexId buf[kFusedBlock];
-  size_t n;
-  while ((n = cursor.Next(buf, kFusedBlock)) != 0) {
-    if (buf[n - 1] < lo) continue;  // whole block below the window
-    for (size_t i = 0; i < n; ++i) {
-      const VertexId v = buf[i];
-      if (v < lo) continue;
-      if (v >= hi) return;  // ascending: nothing further qualifies
-      if (!Excluded(v, excludes, n_excludes)) out->push_back(v);
-    }
-  }
-}
-
-namespace {
-
-// Intersects a decoded block [ap, ap+na) with the matching slice of b,
-// appending survivors (minus excludes) to out. b values <= the block's
-// last element are consumed either way — later blocks are strictly
-// larger — so the caller advances its b cursor to the returned pointer.
-const VertexId* IntersectBlock(const VertexId* ap, size_t na,
-                               const VertexId* bp, const VertexId* be,
-                               const VertexId* excludes, size_t n_excludes,
-                               VertexSet* out) {
-  const VertexId* b_hi = std::upper_bound(bp, be, ap[na - 1]);
-  const size_t nb = static_cast<size_t>(b_hi - bp);
-  if (nb == 0) return b_hi;
-  if (nb * 8 < na) {
-    // Skewed slice: binary-search each b value inside the block instead
-    // of streaming the whole block (mirrors Intersect's gallop path).
-    const VertexId* ae = ap + na;
-    for (; bp != b_hi; ++bp) {
-      ap = std::lower_bound(ap, ae, *bp);
-      if (ap == ae) break;
-      if (*ap == *bp && !Excluded(*bp, excludes, n_excludes)) {
-        out->push_back(*bp);
-      }
-    }
-    return b_hi;
-  }
-  if (simd::SimdEnabled()) {
-    // +8 slack: the AVX2 epilogue stores a full lane block.
-    VertexId tmp[kFusedBlock + 8];
-    const size_t m = simd::IntersectAvx2(ap, na, bp, nb, tmp);
-    if (n_excludes == 0) {
-      out->insert(out->end(), tmp, tmp + m);
-    } else {
-      for (size_t i = 0; i < m; ++i) {
-        if (!Excluded(tmp[i], excludes, n_excludes)) out->push_back(tmp[i]);
-      }
-    }
-    return b_hi;
-  }
-  const VertexId* ae = ap + na;
-  while (ap != ae && bp != b_hi) {
-    if (*ap < *bp) {
-      ++ap;
-    } else if (*bp < *ap) {
-      ++bp;
-    } else {
-      if (!Excluded(*ap, excludes, n_excludes)) out->push_back(*ap);
-      ++ap;
-      ++bp;
-    }
-  }
-  return b_hi;
-}
-
-}  // namespace
-
-void IntersectEncoded(const EncodedSet& set, VertexSetView b, VertexId lo,
-                      VertexId hi, const VertexId* excludes,
-                      size_t n_excludes, VertexSet* out) {
-  out->clear();
-  if (lo >= hi || set.count == 0) return;
-  // Clamping b clamps the intersection, and lets decoding stop as soon
-  // as the clamped b is exhausted.
-  b = ClampView(b, lo, hi);
-  if (b.empty()) return;
-  const VertexId* bp = b.begin();
-  const VertexId* be = b.end();
-  DecodeCursor cursor(set);
-  VertexId buf[kFusedBlock];
-  size_t n;
-  while (bp != be && (n = cursor.Next(buf, kFusedBlock)) != 0) {
-    if (buf[n - 1] < *bp) continue;  // whole block below b's cursor
-    bp = IntersectBlock(buf, n, bp, be, excludes, n_excludes, out);
-  }
-}
-
-size_t IntersectSizeEncoded(const EncodedSet& set, VertexSetView b,
-                            size_t limit) {
-  if (set.count == 0 || b.empty() || limit == 0) return 0;
-  const VertexId* bp = b.begin();
-  const VertexId* be = b.end();
-  DecodeCursor cursor(set);
-  VertexId buf[kFusedBlock];
-  size_t count = 0;
-  size_t n;
-  const bool use_simd = simd::SimdEnabled();
-  while (bp != be && (n = cursor.Next(buf, kFusedBlock)) != 0) {
-    if (buf[n - 1] < *bp) continue;
-    const VertexId* b_hi = std::upper_bound(bp, be, buf[n - 1]);
-    const size_t nb = static_cast<size_t>(b_hi - bp);
-    if (nb * 8 < n) {
-      const VertexId* ap = buf;
-      const VertexId* ae = buf + n;
-      for (; bp != b_hi; ++bp) {
-        ap = std::lower_bound(ap, ae, *bp);
-        if (ap == ae) break;
-        if (*ap == *bp && ++count >= limit) return count;
-      }
-      bp = b_hi;
-      continue;
-    }
-    if (use_simd) {
-      count += simd::IntersectSizeAvx2(buf, n, bp, nb, limit - count);
-      bp = b_hi;
-      if (count >= limit) return count;
-      continue;
-    }
-    const VertexId* ap = buf;
-    const VertexId* ae = buf + n;
-    while (ap != ae && bp != be) {
-      if (*ap < *bp) {
-        ++ap;
-      } else if (*bp < *ap) {
-        ++bp;
-      } else {
-        if (++count >= limit) return count;
-        ++ap;
-        ++bp;
-      }
-    }
-  }
-  return count;
 }
 
 void NoteEncoded(size_t sets, size_t raw_bytes, size_t encoded_bytes) {
@@ -363,14 +178,6 @@ void NoteDecoded(size_t values) {
   CodecCounters& c = Counters();
   c.decode_sets->Add(1);
   c.decode_values->Add(values);
-}
-
-void NoteFusedIntersects(size_t n) {
-  if (n != 0) Counters().intersect_fused->Add(n);
-}
-
-void NoteFallbackDecodes(size_t n) {
-  if (n != 0) Counters().intersect_fallback->Add(n);
 }
 
 }  // namespace benu::codec

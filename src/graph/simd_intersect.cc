@@ -174,42 +174,6 @@ __attribute__((target("avx2"))) size_t IntersectSizeAvx2(const uint32_t* a,
   return ScalarTailSize(a + i, a + na, b + j, b + nb, count, limit);
 }
 
-__attribute__((target("avx2"))) size_t DecodeDeltaBlocksAvx2(
-    const uint8_t** p, const uint8_t* end, uint32_t* prev, uint32_t* out,
-    size_t max) {
-  const uint8_t* in = *p;
-  uint32_t base = *prev;
-  size_t n = 0;
-  while (n + 8 <= max && end - in >= 8) {
-    uint64_t chunk;
-    __builtin_memcpy(&chunk, in, sizeof(chunk));
-    // A set high bit anywhere means one of the next 8 varints spans
-    // multiple bytes; hand the chunk back to the scalar loop.
-    if ((chunk & 0x8080808080808080ull) != 0) break;
-    const __m256i deltas =
-        _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(in)));
-    // In-register inclusive prefix sum: two shifted adds within each
-    // 128-bit lane, then carry the low lane's total into the high lane.
-    __m256i sum =
-        _mm256_add_epi32(deltas, _mm256_slli_si256(deltas, 4));
-    sum = _mm256_add_epi32(sum, _mm256_slli_si256(sum, 8));
-    const __m256i carry = _mm256_blend_epi32(
-        _mm256_setzero_si256(),
-        _mm256_permutevar8x32_epi32(sum, _mm256_set1_epi32(3)), 0xF0);
-    sum = _mm256_add_epi32(sum, carry);
-    const __m256i values = _mm256_add_epi32(sum, _mm256_set1_epi32(
-        static_cast<int>(base)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + n), values);
-    n += 8;
-    base = out[n - 1];
-    in += 8;
-  }
-  *p = in;
-  *prev = base;
-  return n;
-}
-
 #else  // !BENU_HAVE_AVX2_KERNELS
 
 // Safe stand-ins so misdirected calls still compute the right answer on
@@ -223,16 +187,6 @@ size_t IntersectAvx2(const uint32_t* a, size_t na, const uint32_t* b,
 size_t IntersectSizeAvx2(const uint32_t* a, size_t na, const uint32_t* b,
                          size_t nb, size_t limit) {
   return ScalarTailSize(a, a + na, b, b + nb, 0, limit);
-}
-
-size_t DecodeDeltaBlocksAvx2(const uint8_t** p, const uint8_t* end,
-                             uint32_t* prev, uint32_t* out, size_t max) {
-  (void)p;
-  (void)end;
-  (void)prev;
-  (void)out;
-  (void)max;
-  return 0;  // no vector path: the caller's scalar loop decodes it all
 }
 
 #endif  // BENU_HAVE_AVX2_KERNELS

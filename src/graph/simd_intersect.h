@@ -46,17 +46,6 @@ size_t IntersectAvx2(const uint32_t* a, size_t na, const uint32_t* b,
 size_t IntersectSizeAvx2(const uint32_t* a, size_t na, const uint32_t* b,
                          size_t nb, size_t limit);
 
-/// Block decoder for the delta+varint adjacency codec (adj_codec.h):
-/// consumes runs of 8 single-byte varints (one 8-byte load + a high-bit
-/// test), widens them to 8 uint32 deltas, prefix-sums them in-register
-/// and adds the running value *prev. Decodes at most `max` values
-/// (rounded down to a multiple of 8), stopping at the first 8-byte
-/// chunk containing a multi-byte varint; the caller's scalar loop picks
-/// up from the updated *p / *prev. Returns the number of values
-/// written. Requires AVX2 (call only when SimdEnabled()).
-size_t DecodeDeltaBlocksAvx2(const uint8_t** p, const uint8_t* end,
-                             uint32_t* prev, uint32_t* out, size_t max);
-
 }  // namespace simd
 }  // namespace benu
 

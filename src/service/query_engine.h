@@ -62,8 +62,8 @@ struct ServiceConfig {
   size_t prefetch_budget = 0;
   /// Keys per batched lookahead multi-get.
   size_t prefetch_batch_size = 16;
-  /// Serve delta+varint encoded adjacency (only used when the engine
-  /// builds its own simulated transport).
+  /// Model delta+varint encoded reply frames, wire only (only used when
+  /// the engine builds its own simulated transport).
   bool compress_adjacency = true;
   /// Relabel the data graph by (degree, id) at startup so ids realize
   /// the symmetry-breaking total order ≺ (must match how one-shot

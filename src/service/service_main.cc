@@ -15,7 +15,7 @@
 //   --spawn-servers=K       fork K benu_kv_server children instead of
 //                           --endpoints (children die with the service)
 //   --replicas=R            replicas per spawned server index
-//   --compress=0|1          delta+varint adjacency on every hop
+//   --compress=0|1          delta+varint adjacency on the wire only
 //   --threads=N             execution threads (0 = hardware)
 //   --cache-mb=N            shared DbCache capacity
 //   --prefetch-budget=N     per-ENU prefetch budget in keys

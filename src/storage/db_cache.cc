@@ -51,8 +51,8 @@ DbCache::DbCache(const DistributedKvStore* store, size_t capacity_bytes,
       "payload bytes fetched by the prefetch pipeline");
   metrics_.resident_bytes = registry.GetGauge(
       "db_cache.resident_bytes", "bytes",
-      "currently cached resident bytes (encoded size for compressed "
-      "entries, plus per-entry overhead) across all caches");
+      "currently cached bytes (raw set bytes plus per-entry overhead) "
+      "across all caches");
   metrics_.retired_bytes = registry.GetGauge(
       "db_cache.retired_bytes", "bytes",
       "bytes of evicted or invalidated entries not yet freed because a "
@@ -429,7 +429,7 @@ std::shared_ptr<const VertexSet> DbCache::GetAdjacency(VertexId v,
   reader.Pin();
   Reply reply = Get(v);
   if (was_hit != nullptr) *was_hit = reply.outcome == Outcome::kHit;
-  return reply.value().Materialize();
+  return reply.value().decoded;
 }
 
 DbCacheStats DbCache::stats() const {

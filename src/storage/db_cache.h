@@ -85,13 +85,11 @@ struct DbCacheStats {
 /// Capacity is in bytes of cached adjacency payload, so experiments can
 /// size it relative to the data graph (Exp-3).
 ///
-/// Charge basis: entries are stored exactly as the transport delivered
-/// them — still delta+varint encoded on compressed backends — and each
-/// entry is charged its *resident* bytes (AdjacencyPayload::
-/// resident_bytes, i.e. encoded size when encoded) plus a fixed
-/// per-entry overhead. A compressed transport therefore fits ~the
-/// compression ratio more adjacency sets into the same capacity. The
-/// current total is exported as the `db_cache.resident_bytes` gauge.
+/// Charge basis: entries are raw sorted sets (the transport decodes any
+/// encoded reply once, before it gets here), and each is charged its raw
+/// bytes (4 per entry) plus a fixed per-entry overhead, whatever the
+/// wire carried. The current total is exported as the
+/// `db_cache.resident_bytes` gauge.
 ///
 /// Lock-free hits: vertex ids are dense in [0, store->num_vertices()), so
 /// a table of atomic entry pointers indexed by vertex id finds a cached
@@ -147,10 +145,7 @@ class DbCache {
     AdjacencyPayload owned;
     Outcome outcome = Outcome::kMiss;
 
-    /// As delivered by the transport: decoded (raw backends) or still
-    /// delta+varint encoded (compressed backends). The executor's fused
-    /// kernels consume the encoded form directly; call
-    /// value().Materialize() for a decoded set.
+    /// The decoded set and its wire footprint.
     const AdjacencyPayload& value() const {
       return borrowed != nullptr ? *borrowed : owned;
     }
@@ -204,8 +199,9 @@ class DbCache {
   /// reply (owned). The calling thread must hold a pinned Reader.
   Reply Get(VertexId v);
 
-  /// Convenience wrapper around Get that materializes the payload; it
-  /// pins a Reader of its own, so it needs none from the caller.
+  /// Convenience wrapper around Get that returns the set as a shared
+  /// owner; it pins a Reader of its own, so it needs none from the
+  /// caller.
   /// `was_hit`, if non-null, reports whether this call was served from
   /// cache (coalesced waits count as not-hit — the documented
   /// DbCacheStats convention: the caller did wait out a remote round
@@ -258,7 +254,7 @@ class DbCache {
 
     const VertexId key;
     const AdjacencyPayload value;
-    /// resident_bytes() + kEntryOverheadBytes, the capacity charge.
+    /// Raw set bytes + kEntryOverheadBytes, the capacity charge.
     const size_t bytes;
     /// Inserted by the prefetch pipeline and not yet hit. Whoever clears
     /// it by exchange settles it exactly once: the first hit (counted as
@@ -303,7 +299,7 @@ class DbCache {
 
   Shard& ShardFor(VertexId v) { return *shards_[v % shards_.size()]; }
   static size_t EntryBytes(const AdjacencyPayload& value) {
-    return value.resident_bytes() + kEntryOverheadBytes;
+    return value.size() * sizeof(VertexId) + kEntryOverheadBytes;
   }
 
   /// Counts a hit on `entry` and borrows its payload.

@@ -76,10 +76,8 @@ class DistributedKvStore {
   /// layer an epoch-addressed delta overlay over the same transports.
   virtual ~DistributedKvStore() = default;
 
-  /// Fetches Γ(v) as the transport delivered it: decoded (raw backends,
-  /// shared with the store in-process) or still delta+varint encoded
-  /// (compressed backends). Also returns, via the stats, the
-  /// communication cost. Call .Materialize() for the decoded set.
+  /// Fetches Γ(v), decoded (shared with the store in-process). Also
+  /// returns, via the stats, the communication cost.
   virtual AdjacencyPayload GetAdjacency(VertexId v) const;
 
   /// Reply of one batched multi-get.

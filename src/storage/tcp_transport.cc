@@ -645,8 +645,8 @@ class TcpTransport final : public Transport {
           payload = std::move(decoded);
           return Status::OK();
         }));
-    Account(1, payload.wire_bytes,
-            payload.is_encoded() ? payload.wire_bytes : 0, /*batch=*/false);
+    Account(1, payload.wire_bytes, compress_ ? payload.wire_bytes : 0,
+            /*batch=*/false);
     return payload;
   }
 
@@ -706,21 +706,17 @@ class TcpTransport final : public Transport {
     }
     // Decode (and, where needed, retry) each op. Every call has been
     // awaited above, so early error returns leave nothing in flight.
-    size_t encoded_bytes = 0;
     for (auto& op : ops) {
       size_t op_bytes = 0;
-      size_t op_encoded_bytes = 0;
       BENU_RETURN_IF_ERROR(RunCall(
           *channels_[op->channel], &op->call, /*already_awaited=*/true,
           [&](const PendingCall& c) -> Status {
-            return DecodeBatchReplies(c, *op, &result, &op_bytes,
-                                      &op_encoded_bytes);
+            return DecodeBatchReplies(c, *op, &result, &op_bytes);
           }));
       result.round_trips += 1;
       result.bytes += op_bytes;
-      encoded_bytes += op_encoded_bytes;
     }
-    Account(result.round_trips, result.bytes, encoded_bytes,
+    Account(result.round_trips, result.bytes, compress_ ? result.bytes : 0,
             /*batch=*/true);
     return result;
   }
@@ -849,10 +845,8 @@ class TcpTransport final : public Transport {
 
   /// Decodes the reply frames of one batch op into the result slots.
   Status DecodeBatchReplies(const PendingCall& call, /*Op*/ const auto& op,
-                            BatchResult* result, size_t* op_bytes,
-                            size_t* op_encoded_bytes) {
+                            BatchResult* result, size_t* op_bytes) {
     *op_bytes = 0;
-    *op_encoded_bytes = 0;
     for (size_t i = 0; i < call.replies.size(); ++i) {
       auto frame = wire::DecodeFrame(call.replies[i]);
       if (!frame.ok()) {
@@ -869,7 +863,6 @@ class TcpTransport final : public Transport {
         return Status::Unavailable("reply key mismatch in batch");
       }
       *op_bytes += payload.wire_bytes;
-      if (payload.is_encoded()) *op_encoded_bytes += payload.wire_bytes;
       result->values[op.slots[i]] = std::move(payload);
     }
     if (call.replies.size() != op.keys.size()) {

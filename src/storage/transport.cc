@@ -6,18 +6,10 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/wire.h"
+#include "graph/adj_codec.h"
 #include "storage/kv_server.h"
 
 namespace benu {
-
-std::shared_ptr<const VertexSet> AdjacencyPayload::Materialize() const {
-  if (decoded != nullptr) return decoded;
-  if (encoded == nullptr) return nullptr;
-  auto set = std::make_shared<VertexSet>();
-  codec::DecodeAll(*encoded, set.get());
-  codec::NoteDecoded(set->size());
-  return set;
-}
 
 void Transport::InitMetrics(const char* name) {
   auto& registry = metrics::MetricsRegistry::Global();
@@ -60,8 +52,8 @@ namespace {
 /// The seed simulator as a Transport: adjacency sets materialized once
 /// and shared zero-copy; round trips and bytes are modeled with the wire
 /// format's frame sizes (which the loopback/TCP backends realize). With
-/// compression the store instead pre-encodes every set once and shares
-/// the encoded payloads, modeling encoded frame sizes.
+/// compression each modeled frame is the encoded one, sized once here
+/// without encoding anything.
 class SimulatedTransport final : public Transport {
  public:
   SimulatedTransport(const Graph& graph, size_t num_partitions,
@@ -70,26 +62,24 @@ class SimulatedTransport final : public Transport {
         num_vertices_(graph.NumVertices()),
         graph_hash_(graph.FoldedContentHash()),
         compress_(codec::CompressionEnabled(compress)) {
-    if (compress_) {
-      encoded_.reserve(num_vertices_);
-      size_t raw_bytes = 0;
-      size_t encoded_bytes = 0;
-      for (VertexId v = 0; v < num_vertices_; ++v) {
-        auto set = std::make_shared<codec::EncodedSet>();
-        codec::Encode(graph.Adjacency(v), set.get());
-        raw_bytes += set->raw_bytes();
-        encoded_bytes += set->bytes.size();
-        encoded_.push_back(std::move(set));
-      }
-      codec::NoteEncoded(num_vertices_, raw_bytes, encoded_bytes);
-    } else {
-      adjacency_.reserve(num_vertices_);
-      for (VertexId v = 0; v < num_vertices_; ++v) {
-        VertexSetView view = graph.Adjacency(v);
-        adjacency_.push_back(
-            std::make_shared<const VertexSet>(view.begin(), view.end()));
+    adjacency_.reserve(num_vertices_);
+    wire_bytes_.reserve(num_vertices_);
+    size_t raw_bytes = 0;
+    size_t encoded_bytes = 0;
+    for (VertexId v = 0; v < num_vertices_; ++v) {
+      VertexSetView view = graph.Adjacency(v);
+      adjacency_.push_back(
+          std::make_shared<const VertexSet>(view.begin(), view.end()));
+      if (compress_) {
+        const size_t stream = codec::EncodedBytes(view);
+        raw_bytes += view.size * sizeof(VertexId);
+        encoded_bytes += stream;
+        wire_bytes_.push_back(wire::EncodedAdjacencyReplyBytes(stream));
+      } else {
+        wire_bytes_.push_back(wire::AdjacencyReplyBytes(view.size));
       }
     }
+    if (compress_) codec::NoteEncoded(num_vertices_, raw_bytes, encoded_bytes);
     InitMetrics(name());
   }
 
@@ -103,7 +93,7 @@ class SimulatedTransport final : public Transport {
     if (v >= num_vertices_) {
       return Status::OutOfRange("vertex out of range: " + std::to_string(v));
     }
-    const AdjacencyPayload payload = PayloadFor(v);
+    AdjacencyPayload payload{adjacency_[v], wire_bytes_[v]};
     Account(1, payload.wire_bytes,
             compress_ ? payload.wire_bytes : 0, /*batch=*/false);
     return payload;
@@ -119,14 +109,13 @@ class SimulatedTransport final : public Transport {
         return Status::OutOfRange("vertex out of range: " +
                                   std::to_string(v));
       }
-      AdjacencyPayload payload = PayloadFor(v);
-      result.bytes += payload.wire_bytes;
+      result.bytes += wire_bytes_[v];
       uint8_t& touched = partition_touched[v % num_partitions_];
       if (!touched) {
         touched = 1;
         ++result.round_trips;
       }
-      result.values.push_back(std::move(payload));
+      result.values.push_back({adjacency_[v], wire_bytes_[v]});
     }
     Account(result.round_trips, result.bytes,
             compress_ ? result.bytes : 0, /*batch=*/true);
@@ -134,21 +123,9 @@ class SimulatedTransport final : public Transport {
   }
 
  private:
-  AdjacencyPayload PayloadFor(VertexId v) const {
-    AdjacencyPayload payload;
-    if (compress_) {
-      payload.encoded = encoded_[v];
-      payload.wire_bytes =
-          wire::EncodedAdjacencyReplyBytes(encoded_[v]->bytes.size());
-    } else {
-      payload.decoded = adjacency_[v];
-      payload.wire_bytes = wire::AdjacencyReplyBytes(adjacency_[v]->size());
-    }
-    return payload;
-  }
-
   std::vector<std::shared_ptr<const VertexSet>> adjacency_;
-  std::vector<std::shared_ptr<const codec::EncodedSet>> encoded_;
+  /// Modeled reply frame size per vertex (encoded when compressing).
+  std::vector<uint32_t> wire_bytes_;
   size_t num_partitions_;
   size_t num_vertices_;
   uint32_t graph_hash_;
@@ -193,8 +170,8 @@ class LoopbackTransport final : public Transport {
     BENU_RETURN_IF_ERROR(frame.status());
     AdjacencyPayload payload;
     BENU_RETURN_IF_ERROR(DecodeReply(*frame, v, &payload));
-    Account(1, payload.wire_bytes,
-            payload.is_encoded() ? payload.wire_bytes : 0, /*batch=*/false);
+    Account(1, payload.wire_bytes, compress_ ? payload.wire_bytes : 0,
+            /*batch=*/false);
     return payload;
   }
 
@@ -215,7 +192,6 @@ class LoopbackTransport final : public Transport {
       partition_keys[v % num_partitions_].push_back(v);
       partition_slots[v % num_partitions_].push_back(i);
     }
-    size_t encoded_bytes = 0;
     for (size_t p = 0; p < num_partitions_; ++p) {
       if (partition_keys[p].empty()) continue;
       std::vector<uint8_t> request;
@@ -234,12 +210,12 @@ class LoopbackTransport final : public Transport {
         BENU_RETURN_IF_ERROR(
             DecodeReply(*frame, partition_keys[p][key_index++], &payload));
         result.bytes += payload.wire_bytes;
-        if (payload.is_encoded()) encoded_bytes += payload.wire_bytes;
         result.values[slot] = std::move(payload);
         cursor = cursor.subspan(frame->frame_bytes);
       }
     }
-    Account(result.round_trips, result.bytes, encoded_bytes, /*batch=*/true);
+    Account(result.round_trips, result.bytes, compress_ ? result.bytes : 0,
+            /*batch=*/true);
     return result;
   }
 
@@ -304,26 +280,20 @@ class LoopbackTransport final : public Transport {
 
 Status DecodeAdjacencyPayload(const wire::Frame& frame, size_t num_vertices,
                               VertexId* key, AdjacencyPayload* payload) {
-  VertexId last = 0;
-  size_t count = 0;
+  auto set = std::make_shared<VertexSet>();
   if (wire::FrameIsEncoded(frame)) {
-    auto set = std::make_shared<codec::EncodedSet>();
     BENU_RETURN_IF_ERROR(
-        wire::DecodeEncodedAdjacencyReply(frame, key, set.get(), &last));
-    count = set->count;
-    payload->encoded = std::move(set);
+        wire::DecodeEncodedAdjacencyReply(frame, key, set.get()));
+    codec::NoteDecoded(set->size());
   } else {
-    auto set = std::make_shared<VertexSet>();
     BENU_RETURN_IF_ERROR(wire::DecodeAdjacencyReply(frame, key, set.get()));
-    count = set->size();
-    if (count > 0) last = set->back();
-    payload->decoded = std::move(set);
   }
-  if (count > 0 && last >= num_vertices) {
+  if (!set->empty() && set->back() >= num_vertices) {
     return Status::InvalidArgument(
-        "adjacency reply holds vertex " + std::to_string(last) +
+        "adjacency reply holds vertex " + std::to_string(set->back()) +
         " of a graph with " + std::to_string(num_vertices) + " vertices");
   }
+  payload->decoded = std::move(set);
   payload->wire_bytes = frame.frame_bytes;
   return Status::OK();
 }

@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "graph/adj_codec.h"
 #include "graph/graph.h"
 #include "graph/vertex_set.h"
 
@@ -55,44 +54,27 @@ struct TransportStats {
   }
 };
 
-/// One fetched adjacency value, either decoded (raw backends, zero-copy
-/// in-process sharing) or still delta+varint encoded (compressed
-/// backends — the executor's fused kernels consume the encoded form
-/// directly). Exactly one of `decoded` / `encoded` is non-null.
+/// One fetched adjacency value: the sorted set, decoded once where it
+/// entered the process (or shared zero-copy by the simulated backend).
 struct AdjacencyPayload {
   std::shared_ptr<const VertexSet> decoded;
-  std::shared_ptr<const codec::EncodedSet> encoded;
   /// Wire footprint of the reply frame that carried this value — what
   /// the transport accounted into `TransportStats::bytes` for it.
   size_t wire_bytes = 0;
 
-  bool is_encoded() const { return encoded != nullptr; }
-
-  /// Number of adjacency entries (no decode needed).
-  size_t size() const {
-    return encoded != nullptr ? encoded->count
-                              : (decoded != nullptr ? decoded->size() : 0);
-  }
-
-  /// Bytes this payload occupies at rest (encoded size when encoded,
-  /// 4 bytes/entry otherwise) — the DbCache charge basis.
-  size_t resident_bytes() const {
-    return encoded != nullptr ? encoded->bytes.size()
-                              : size() * sizeof(VertexId);
-  }
-
-  /// The decoded set: `decoded` when already raw, otherwise a fresh
-  /// full materialization (counted in codec.decode.*). Null only for a
-  /// default-constructed payload.
-  std::shared_ptr<const VertexSet> Materialize() const;
+  /// Number of adjacency entries.
+  size_t size() const { return decoded != nullptr ? decoded->size() : 0; }
 };
 
 /// Decodes one adjacency reply frame into `payload` (with its wire_bytes),
 /// raw or delta+varint encoded as the frame's own flag says: a server
-/// answers raw when it does not encode. Returns the frame's key via
-/// `*key`. Rejects, with InvalidArgument, a set that is not strictly
-/// ascending or that holds an id >= `num_vertices`: the executor's
-/// kernels assume sorted sets, and the DB cache indexes by id.
+/// answers raw when it does not encode. An encoded reply is validated
+/// and decoded in one pass (codec::DecodeValidated) on the calling
+/// thread; nothing above this call sees the encoded form. Returns the
+/// frame's key via `*key`. Rejects, with InvalidArgument, a malformed
+/// stream and a set that is not strictly ascending or that holds an id
+/// >= `num_vertices`: the executor's kernels assume sorted sets, and
+/// the DB cache indexes by id.
 Status DecodeAdjacencyPayload(const wire::Frame& frame, size_t num_vertices,
                               VertexId* key, AdjacencyPayload* payload);
 
@@ -136,7 +118,9 @@ class Transport {
   /// vertex ids (degree relabeling). Every backend attests one.
   virtual uint32_t graph_hash() const = 0;
 
-  /// True iff replies travel delta+varint encoded on this transport.
+  /// True iff replies travel delta+varint encoded on this transport's
+  /// wire (modeled by the simulated backend). Payloads are decoded
+  /// either way.
   virtual bool compressed() const { return false; }
 
   /// Fetches Γ(v). Payload values are immutable; for in-process
@@ -198,9 +182,9 @@ class Transport {
 /// The in-process simulated backend: adjacency sets are shared zero-copy
 /// with the caller and communication is modeled, not performed — the
 /// seed ClusterSimulator behavior, now just one Transport among several.
-/// With `compress` (subject to codec::CompressionEnabled) the store
-/// pre-encodes every set once and serves the encoded payloads, modeling
-/// encoded frame sizes.
+/// With `compress` (subject to codec::CompressionEnabled) the modeled
+/// frame sizes are the encoded ones, sized once at construction; the
+/// payloads stay raw.
 std::shared_ptr<Transport> MakeSimulatedTransport(const Graph& graph,
                                                   size_t num_partitions,
                                                   bool compress = true);

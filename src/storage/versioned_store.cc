@@ -68,7 +68,7 @@ bool VersionedAdjacencyStore::EdgeExistsLocked(
   if (cached == base_cache->end()) {
     cached =
         base_cache
-            ->emplace(u, DistributedKvStore::GetAdjacency(u).Materialize())
+            ->emplace(u, DistributedKvStore::GetAdjacency(u).decoded)
             .first;
   }
   const auto& base = cached->second;
@@ -177,10 +177,9 @@ size_t VersionedAdjacencyStore::overlay_vertices() const {
 
 AdjacencyPayload VersionedAdjacencyStore::PatchPayload(
     const Overlay& overlay, const AdjacencyPayload& base) const {
-  auto base_set = base.Materialize();
+  const VertexSet* base_set = base.decoded.get();
   auto merged = std::make_shared<VertexSet>();
-  merged->reserve((base_set != nullptr ? base_set->size() : 0) +
-                  overlay.added.size());
+  merged->reserve(base.size() + overlay.added.size());
   if (base_set != nullptr) {
     std::set_difference(base_set->begin(), base_set->end(),
                         overlay.removed.begin(), overlay.removed.end(),

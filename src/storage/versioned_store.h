@@ -48,9 +48,8 @@ struct EpochDelta {
 /// (sim/loopback/TCP — servers always store the epoch-0 base graph)
 /// composed with an in-memory overlay of the edges inserted/deleted
 /// since. Reads of untouched vertices pass the base payload through
-/// unchanged — still delta+varint encoded on compressed backends, so the
-/// executor's fused kernels keep working on the unchanged 99%+ of the
-/// graph; only touched vertices pay a materialize-and-patch.
+/// unchanged, shared with the transport; only touched vertices pay a
+/// merge into a fresh set.
 ///
 /// Epoch protocol: Canonicalize(ops) → enumerate retractions against the
 /// current snapshot → Apply(delta) → enumerate additions against the new
@@ -101,13 +100,14 @@ class VersionedAdjacencyStore : public DistributedKvStore {
     std::vector<VertexId> removed;
   };
 
-  /// Merged decoded payload: (base ∖ removed) ∪ added. Charges the base
-  /// payload's wire accounting (the patch itself is local memory).
+  /// Merged payload: (base ∖ removed) ∪ added, read from the borrowed
+  /// base set. Charges the base payload's wire accounting (the patch
+  /// itself is local memory).
   AdjacencyPayload PatchPayload(const Overlay& overlay,
                                 const AdjacencyPayload& base) const;
 
   /// Presence check under a held shared lock; `base_cache` memoizes
-  /// materialized base sets across one canonicalization pass.
+  /// fetched base sets across one canonicalization pass.
   bool EdgeExistsLocked(
       VertexId u, VertexId v,
       std::unordered_map<VertexId, std::shared_ptr<const VertexSet>>*

@@ -1,20 +1,18 @@
-// Differential and fuzz suite for the delta+varint adjacency codec:
-// round-trips must be byte-exact, the SIMD and scalar decoders must
-// produce identical values (run twice by ctest: adj_codec_test and
-// adj_codec_test_scalar with BENU_DISABLE_SIMD=1), Validate must reject
-// every malformed stream without crashing (the suite is also wired into
-// the ASan/UBSan CI job), and the fused encoded-intersect kernels must
-// match scalar decode-then-intersect bit for bit.
+// Round-trip and fuzz suite for the delta+varint adjacency codec:
+// round-trips must be byte-exact, EncodedBytes must size exactly what
+// Encode writes, and Validate / DecodeValidated must reject every
+// malformed stream without crashing (the suite is also wired into the
+// ASan/UBSan CI job). ctest runs it twice: adj_codec_test and
+// adj_codec_test_scalar with BENU_DISABLE_SIMD=1. The same adversarial
+// streams are fed through the wire-reply decoder in wire_fuzz_test.
 
 #include "graph/adj_codec.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iterator>
 
 #include "common/rng.h"
-#include "graph/simd_intersect.h"
 #include "graph/vertex_set.h"
 
 namespace benu {
@@ -30,15 +28,6 @@ VertexSet RandomSorted(Rng* rng, size_t size, uint64_t universe) {
   s.erase(std::unique(s.begin(), s.end()), s.end());
   return s;
 }
-
-class SimdStateGuard {
- public:
-  SimdStateGuard() : was_enabled_(simd::SimdEnabled()) {}
-  ~SimdStateGuard() { simd::SetSimdEnabled(was_enabled_); }
-
- private:
-  bool was_enabled_;
-};
 
 TEST(AdjCodecTest, EncodesKnownStreams) {
   codec::EncodedSet enc;
@@ -76,16 +65,13 @@ TEST(AdjCodecTest, RoundTripsRandomSetsByteExact) {
       codec::Encode(original, &enc);
       EXPECT_EQ(enc.count, original.size());
 
-      VertexSet decoded;
-      codec::DecodeAll(enc, &decoded);
-      EXPECT_EQ(decoded, original) << "size=" << size << " u=" << universe;
+      EXPECT_EQ(codec::EncodedBytes(original), enc.bytes.size());
 
-      // The untrusted-path decoder agrees and accepts its own output.
-      VertexSet validated;
+      VertexSet decoded;
       Status st = codec::DecodeValidated(enc.bytes.data(), enc.bytes.size(),
-                                         enc.count, &validated);
+                                         enc.count, &decoded);
       ASSERT_TRUE(st.ok()) << st.ToString();
-      EXPECT_EQ(validated, original);
+      EXPECT_EQ(decoded, original) << "size=" << size << " u=" << universe;
 
       // Re-encoding the decode reproduces the bytes (canonical form).
       codec::EncodedSet enc2;
@@ -116,58 +102,14 @@ TEST(AdjCodecTest, RoundTripsAdversarialBoundaryValues) {
   for (const VertexSet& original : cases) {
     codec::EncodedSet enc;
     codec::Encode(original, &enc);
+    EXPECT_EQ(codec::EncodedBytes(original), enc.bytes.size());
     VertexSet decoded;
-    codec::DecodeAll(enc, &decoded);
+    ASSERT_TRUE(codec::DecodeValidated(enc.bytes.data(), enc.bytes.size(),
+                                       enc.count, &decoded)
+                    .ok());
     EXPECT_EQ(decoded, original);
     EXPECT_TRUE(
         codec::Validate(enc.bytes.data(), enc.bytes.size(), enc.count).ok());
-  }
-}
-
-TEST(AdjCodecTest, SimdAndScalarDecodersIdentical) {
-  SimdStateGuard guard;
-  Rng rng(777);
-  for (int trial = 0; trial < 200; ++trial) {
-    // Mix dense (single-byte deltas, SIMD fast path) and sparse
-    // (multi-byte deltas, scalar fallback) regimes.
-    const size_t size = 1 + rng.NextBounded(2000);
-    const uint64_t universe =
-        (trial % 2 == 0) ? size + rng.NextBounded(size + 1)
-                         : uint64_t{1} << (8 + rng.NextBounded(23));
-    VertexSet original = RandomSorted(&rng, size, universe);
-    codec::EncodedSet enc;
-    codec::Encode(original, &enc);
-
-    simd::SetSimdEnabled(false);
-    VertexSet scalar_out;
-    codec::DecodeAll(enc, &scalar_out);
-
-    simd::SetSimdEnabled(true);  // no-op without AVX2; still differential
-    VertexSet simd_out;
-    codec::DecodeAll(enc, &simd_out);
-
-    EXPECT_EQ(scalar_out, original) << "trial " << trial;
-    EXPECT_EQ(simd_out, original) << "trial " << trial;
-  }
-}
-
-TEST(AdjCodecTest, CursorStreamsInArbitraryChunks) {
-  Rng rng(4242);
-  VertexSet original = RandomSorted(&rng, 3000, 9000);
-  codec::EncodedSet enc;
-  codec::Encode(original, &enc);
-  for (size_t chunk : {size_t{1}, size_t{3}, size_t{7}, size_t{8},
-                       size_t{64}, size_t{256}, size_t{1000}}) {
-    codec::DecodeCursor cursor(enc);
-    EXPECT_EQ(cursor.remaining(), original.size());
-    VertexSet streamed;
-    std::vector<VertexId> buf(chunk);
-    size_t n;
-    while ((n = cursor.Next(buf.data(), chunk)) != 0) {
-      streamed.insert(streamed.end(), buf.begin(), buf.begin() + n);
-    }
-    EXPECT_EQ(cursor.remaining(), 0u);
-    EXPECT_EQ(streamed, original) << "chunk=" << chunk;
   }
 }
 
@@ -191,11 +133,20 @@ TEST(AdjCodecFuzzTest, ValidateRejectsMalformedStreams) {
        {0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x02},
        2},
       {"count without bytes", {}, 1},
+      // A count no stream of this length can hold: rejected before the
+      // decode allocates for it.
+      {"count past the stream", {0x01, 0x01}, 0xFFFFFFFFu},
   };
   for (const Case& c : cases) {
     EXPECT_FALSE(
         codec::Validate(c.bytes.data(), c.bytes.size(), c.count).ok())
         << c.what;
+    VertexSet out = {7};
+    EXPECT_FALSE(codec::DecodeValidated(c.bytes.data(), c.bytes.size(),
+                                        c.count, &out)
+                     .ok())
+        << c.what;
+    EXPECT_TRUE(out.empty()) << c.what;
   }
   // Empty stream with count 0 is the canonical empty set.
   EXPECT_TRUE(codec::Validate(nullptr, 0, 0).ok());
@@ -228,83 +179,9 @@ TEST(AdjCodecFuzzTest, RandomByteSoupNeverCrashes) {
   }
 }
 
-// --- fused kernels vs decode-then-intersect ---------------------------
-
-TEST(FusedEncodedKernelTest, IntersectEncodedMatchesDecodeThenIntersect) {
-  SimdStateGuard guard;
-  Rng rng(1001);
-  for (int trial = 0; trial < 300; ++trial) {
-    const uint64_t universe = 16 + rng.NextBounded(4096);
-    VertexSet a = RandomSorted(&rng, rng.NextBounded(800), universe);
-    VertexSet b = RandomSorted(&rng, rng.NextBounded(800), universe);
-    codec::EncodedSet ea;
-    codec::Encode(a, &ea);
-    const VertexId lo = static_cast<VertexId>(rng.NextBounded(universe));
-    const VertexId hi =
-        static_cast<VertexId>(lo + rng.NextBounded(universe - lo + 1));
-    VertexSet excludes;
-    for (size_t k = rng.NextBounded(3); k > 0; --k) {
-      excludes.push_back(static_cast<VertexId>(rng.NextBounded(universe)));
-    }
-
-    // Reference: scalar decode-then-intersect on the clamped inputs.
-    simd::SetSimdEnabled(false);
-    VertexSet decoded;
-    codec::DecodeAll(ea, &decoded);
-    VertexSet reference;
-    IntersectExcluding(ClampView(decoded, lo, hi), b, excludes.data(),
-                       excludes.size(), &reference);
-
-    for (bool use_simd : {false, true}) {
-      simd::SetSimdEnabled(use_simd);
-      VertexSet fused;
-      codec::IntersectEncoded(ea, b, lo, hi, excludes.data(),
-                              excludes.size(), &fused);
-      EXPECT_EQ(fused, reference)
-          << "trial " << trial << " simd=" << use_simd;
-      // Unclamped size kernel against the unclamped reference.
-      VertexSet full;
-      Intersect(decoded, b, &full);
-      EXPECT_EQ(codec::IntersectSizeEncoded(ea, b), full.size());
-      const size_t limit = rng.NextBounded(full.size() + 2);
-      EXPECT_EQ(codec::IntersectSizeEncoded(ea, b, limit),
-                std::min(limit, full.size()));
-    }
-  }
-}
-
-TEST(FusedEncodedKernelTest, DecodeClampedMatchesDecodeThenFilter) {
-  SimdStateGuard guard;
-  Rng rng(909);
-  for (int trial = 0; trial < 300; ++trial) {
-    const uint64_t universe = 16 + rng.NextBounded(4096);
-    VertexSet a = RandomSorted(&rng, rng.NextBounded(1000), universe);
-    codec::EncodedSet ea;
-    codec::Encode(a, &ea);
-    const VertexId lo = static_cast<VertexId>(rng.NextBounded(universe));
-    const VertexId hi =
-        static_cast<VertexId>(lo + rng.NextBounded(universe - lo + 1));
-    VertexSet excludes;
-    for (size_t k = rng.NextBounded(3); k > 0; --k) {
-      excludes.push_back(static_cast<VertexId>(rng.NextBounded(universe)));
-    }
-    VertexSet reference;
-    CopyExcluding(ClampView(a, lo, hi), excludes.data(), excludes.size(),
-                  &reference);
-    for (bool use_simd : {false, true}) {
-      simd::SetSimdEnabled(use_simd);
-      VertexSet fused;
-      codec::DecodeClamped(ea, lo, hi, excludes.data(), excludes.size(),
-                           &fused);
-      EXPECT_EQ(fused, reference)
-          << "trial " << trial << " simd=" << use_simd;
-    }
-  }
-}
-
 TEST(AdjCodecTest, CompressionRatioOnRelabeledLikeSets) {
-  // Dense neighborhoods (the relabeled-graph regime) must beat raw u32
-  // by well over the 2x end-to-end target.
+  // Dense neighborhoods (the relabeled-graph regime) must encode in
+  // under half their raw u32 size.
   Rng rng(5150);
   VertexSet dense = RandomSorted(&rng, 4000, 12000);
   codec::EncodedSet enc;

@@ -13,7 +13,6 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "graph/adj_codec.h"
 #include "graph/generators.h"
 #include "graph/patterns.h"
 #include "storage/transport.h"
@@ -140,25 +139,34 @@ TEST(DbCacheTest, OversizedEntryNotRetained) {
   EXPECT_FALSE(hit);  // still not cached
 }
 
-TEST(DbCacheTest, CompressedEntriesChargedAtEncodedSize) {
-  // On a compressed transport the cache stores the still-encoded payload
-  // and charges capacity by its *encoded* size, so the same budget holds
-  // ~compression-ratio more adjacency sets. The hub set of a star is
-  // delta-1 runs — one varint byte per vertex vs 4 raw bytes.
-  if (!codec::CompressionEnabled(true)) {
-    GTEST_SKIP() << "BENU_DISABLE_COMPRESSION is set; nothing to charge";
-  }
+TEST(DbCacheTest, CompressedAndRawStoresChargeTheSameRawBytes) {
+  // Compression is wire only: an encoded reply is decoded before it
+  // reaches the cache, so a compressed and a raw store fill the same
+  // capacity to the same raw charge and serve the same sets. The hub set
+  // of a star is delta-1 runs, the case where the wire form is smallest.
   Graph g = MakeStar(512);
-  DistributedKvStore raw_store(g, 1);  // convenience ctor: raw payloads
-  DbCache raw_cache(&raw_store, 1 << 20, 1);
+  DistributedKvStore raw_store(MakeSimulatedTransport(g, 1, false));
   DistributedKvStore comp_store(MakeSimulatedTransport(g, 1));
+  for (size_t capacity : {size_t{1} << 20, size_t{4096}}) {
+    DbCache raw_cache(&raw_store, capacity, 1);
+    DbCache comp_cache(&comp_store, capacity, 1);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        EXPECT_EQ(*comp_cache.GetAdjacency(v), *raw_cache.GetAdjacency(v))
+            << "vertex " << v;
+      }
+    }
+    EXPECT_GT(comp_cache.SizeBytes(), 0u);
+    EXPECT_LE(comp_cache.SizeBytes(), capacity);
+    EXPECT_EQ(comp_cache.SizeBytes(), raw_cache.SizeBytes())
+        << "capacity " << capacity;
+    EXPECT_EQ(comp_cache.stats().hits, raw_cache.stats().hits);
+    EXPECT_EQ(comp_cache.stats().misses, raw_cache.stats().misses);
+  }
+  // The hub alone is charged its raw bytes, whatever the wire carried.
   DbCache comp_cache(&comp_store, 1 << 20, 1);
-
-  EXPECT_EQ(*comp_cache.GetAdjacency(0), *raw_cache.GetAdjacency(0));
-  EXPECT_GT(comp_cache.SizeBytes(), 0u);
-  EXPECT_LT(comp_cache.SizeBytes() * 3, raw_cache.SizeBytes());
-  // A cached compressed entry keeps serving the right set.
-  EXPECT_EQ(*comp_cache.GetAdjacency(0), *raw_cache.GetAdjacency(0));
+  comp_cache.GetAdjacency(0);
+  EXPECT_GE(comp_cache.SizeBytes(), 512 * sizeof(VertexId));
 }
 
 TEST(DbCacheTest, ResidentBytesGaugeTracksLiveCaches) {

@@ -308,14 +308,14 @@ TEST(VersionedStoreTest, SnapshotReadsComposeOverlay) {
   EXPECT_FALSE(store.EdgeExists(1, 2));
   EXPECT_TRUE(store.EdgeExists(0, 1));  // untouched
 
-  EXPECT_EQ(*store.GetAdjacency(0).Materialize(), (VertexSet{1, 3}));
-  EXPECT_EQ(*store.GetAdjacency(1).Materialize(), (VertexSet{0}));
-  EXPECT_EQ(*store.GetAdjacency(3).Materialize(), (VertexSet{0, 2}));
+  EXPECT_EQ(*store.GetAdjacency(0).decoded, (VertexSet{1, 3}));
+  EXPECT_EQ(*store.GetAdjacency(1).decoded, (VertexSet{0}));
+  EXPECT_EQ(*store.GetAdjacency(3).decoded, (VertexSet{0, 2}));
 
   auto batch = store.GetAdjacencyBatch(std::vector<VertexId>{0, 1, 2, 3});
   ASSERT_EQ(batch.values.size(), 4u);
-  EXPECT_EQ(*batch.values[0].Materialize(), (VertexSet{1, 3}));
-  EXPECT_EQ(*batch.values[2].Materialize(), (VertexSet{3}));
+  EXPECT_EQ(*batch.values[0].decoded, (VertexSet{1, 3}));
+  EXPECT_EQ(*batch.values[2].decoded, (VertexSet{3}));
 
   // Applying a delta with a stale epoch is a programming error upstream;
   // Canonicalize against the new snapshot drops what is now a no-op.

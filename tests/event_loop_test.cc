@@ -134,7 +134,7 @@ TEST(KvBackpressureTest, PipelinedBatchesArriveInOrderAfterTheWindowFills) {
       ASSERT_EQ(got_key, key);
       auto want = loopback->Fetch(key);
       ASSERT_TRUE(want.ok());
-      ASSERT_EQ(got, *want->Materialize()) << "key " << key;
+      ASSERT_EQ(got, *want->decoded) << "key " << key;
     }
   }
   net::CloseFd(fd);

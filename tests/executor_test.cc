@@ -227,7 +227,6 @@ TEST(ExecutorTest, CachedProviderOwnsMissesAndBorrowsHits) {
   AdjacencyProvider::Fetch hit = provider.GetAdjacency(2);
   ASSERT_TRUE(hit.cache_hit);
   EXPECT_EQ(hit.set, nullptr);
-  EXPECT_EQ(hit.encoded_owner, nullptr);
   EXPECT_EQ(hit.view.data, miss.set->data());
   EXPECT_EQ(hit.view.size, miss.set->size());
   reader->Unpin();

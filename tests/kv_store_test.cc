@@ -10,7 +10,7 @@ namespace {
 TEST(KvStoreTest, ServesAdjacencySets) {
   Graph g = MakeCycle(5);
   DistributedKvStore store(g, 4);
-  auto adj = store.GetAdjacency(0).Materialize();
+  auto adj = store.GetAdjacency(0).decoded;
   ASSERT_NE(adj, nullptr);
   EXPECT_EQ(*adj, (VertexSet{1, 4}));
 }
@@ -64,9 +64,9 @@ TEST(KvStoreTest, BatchGetMatchesSingleGets) {
   auto reply = store.GetAdjacencyBatch(keys);
   ASSERT_EQ(reply.values.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
-    auto batched = reply.values[i].Materialize();
+    auto batched = reply.values[i].decoded;
     ASSERT_NE(batched, nullptr);
-    EXPECT_EQ(*batched, *store.GetAdjacency(keys[i]).Materialize());
+    EXPECT_EQ(*batched, *store.GetAdjacency(keys[i]).decoded);
   }
 }
 

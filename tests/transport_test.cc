@@ -188,7 +188,7 @@ TEST(WireTest, AdjacencyPayloadRejectsIdsPastTheGraph) {
               StatusCode::kInvalidArgument);
     ASSERT_TRUE(DecodeAdjacencyPayload(*frame, 41, &key, &payload).ok());
     EXPECT_EQ(key, 3u);
-    EXPECT_EQ(*payload.Materialize(), adjacency);
+    EXPECT_EQ(*payload.decoded, adjacency);
     EXPECT_EQ(payload.wire_bytes, buffer->size());
   }
 }
@@ -206,12 +206,10 @@ TEST(WireTest, EncodedAdjacencyReplyRoundTrips) {
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   ASSERT_TRUE(wire::FrameIsEncoded(*frame));
   VertexId key = kInvalidVertex;
-  codec::EncodedSet back;
-  auto st = wire::DecodeEncodedAdjacencyReply(*frame, &key, &back);
+  VertexSet decoded;
+  auto st = wire::DecodeEncodedAdjacencyReply(*frame, &key, &decoded);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(key, 42u);
-  VertexSet decoded;
-  codec::DecodeAll(back, &decoded);
   EXPECT_EQ(decoded, adjacency);
 
   // The raw decoder refuses an encoded reply: callers dispatch on
@@ -362,7 +360,7 @@ void ExpectSameBehavior(Transport& a, Transport& b) {
     auto fb = b.Fetch(v);
     ASSERT_TRUE(fa.ok()) << fa.status().ToString();
     ASSERT_TRUE(fb.ok()) << fb.status().ToString();
-    EXPECT_EQ(*fa->Materialize(), *fb->Materialize())
+    EXPECT_EQ(*fa->decoded, *fb->decoded)
         << "adjacency of vertex " << v;
   }
   // A batch spanning several partitions, unsorted.
@@ -377,7 +375,7 @@ void ExpectSameBehavior(Transport& a, Transport& b) {
   EXPECT_EQ(ba->bytes, bb->bytes);
   ASSERT_EQ(ba->values.size(), bb->values.size());
   for (size_t i = 0; i < ba->values.size(); ++i) {
-    EXPECT_EQ(*ba->values[i].Materialize(), *bb->values[i].Materialize())
+    EXPECT_EQ(*ba->values[i].decoded, *bb->values[i].decoded)
         << "batch slot " << i;
   }
   // Out-of-range keys fail identically.
@@ -654,6 +652,53 @@ TEST_F(TcpTransportTest, MatchesSimulatedBackend) {
   EXPECT_GT(stats0->bytes_sent, 0u);
 }
 
+TEST_F(TcpTransportTest, EveryBackendDeliversDecodedSetsWithEqualWireBytes) {
+  // Compression is wire only: with it on (the default), every backend
+  // hands over the raw set, and the simulated backend's modeled frame
+  // sizes are the bytes the loopback and TCP wires really carry.
+  auto sim = MakeSimulatedTransport(graph_, kPartitions);
+  auto loopback = MakeLoopbackTransport(graph_, kPartitions);
+  auto tcp = ConnectTcpTransport(endpoints_);
+  ASSERT_TRUE(tcp.ok()) << tcp.status().ToString();
+  const bool compressed = codec::CompressionEnabled(true);
+  for (Transport* t : {sim.get(), loopback.get(), tcp->get()}) {
+    EXPECT_EQ(t->compressed(), compressed) << t->name();
+  }
+  std::vector<VertexId> keys;
+  for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
+    keys.push_back(v);
+    const VertexSetView want = graph_.Adjacency(v);
+    const VertexSet expected(want.begin(), want.end());
+    size_t frame_bytes =
+        compressed ? wire::EncodedAdjacencyReplyBytes(codec::EncodedBytes(want))
+                   : wire::AdjacencyReplyBytes(want.size);
+    for (Transport* t : {sim.get(), loopback.get(), tcp->get()}) {
+      auto payload = t->Fetch(v);
+      ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+      ASSERT_NE(payload->decoded, nullptr);
+      EXPECT_EQ(*payload->decoded, expected) << t->name() << " vertex " << v;
+      EXPECT_EQ(payload->wire_bytes, frame_bytes)
+          << t->name() << " vertex " << v;
+    }
+  }
+  auto sim_batch = sim->FetchBatch(keys);
+  ASSERT_TRUE(sim_batch.ok());
+  for (Transport* t : {loopback.get(), tcp->get()}) {
+    auto batch = t->FetchBatch(keys);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(batch->bytes, sim_batch->bytes) << t->name();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(*batch->values[i].decoded, *sim_batch->values[i].decoded)
+          << t->name() << " vertex " << keys[i];
+      EXPECT_EQ(batch->values[i].wire_bytes, sim_batch->values[i].wire_bytes)
+          << t->name() << " vertex " << keys[i];
+    }
+  }
+  EXPECT_EQ(sim->stats().bytes.load(), loopback->stats().bytes.load());
+  EXPECT_EQ(sim->stats().bytes_encoded.load(),
+            loopback->stats().bytes_encoded.load());
+}
+
 TEST_F(TcpTransportTest, ClusterRunOverTcpMatchesSim) {
   Graph relabeled = graph_.RelabelByDegree();
   // The TCP servers must serve the same labeling the enumeration uses.
@@ -764,7 +809,7 @@ TEST_F(TcpTransportTest, ConcurrentFetchesPipelineCorrectly) {
         }
         for (size_t i = 0; i < keys.size(); ++i) {
           VertexSetView expected = graph_.Adjacency(keys[i]);
-          const VertexSet got = *batch->values[i].Materialize();
+          const VertexSet got = *batch->values[i].decoded;
           if (got != VertexSet(expected.begin(), expected.end())) {
             ++failures;
             return;
@@ -1050,6 +1095,7 @@ class ScriptedTcpServer {
     kMuteAfterHello,
     kDescendingReplies,
     kOutOfRangeReplies,
+    kTruncatedEncodedReplies,
   };
 
   ScriptedTcpServer(const Graph* graph, size_t partitions, Fault fault)
@@ -1116,6 +1162,12 @@ class ScriptedTcpServer {
       if (adjacency_request && fault_ == Fault::kOutOfRangeReplies) {
         std::fill(out.begin() + 20, out.begin() + 23, 0xFF);
         out[23] = 0x7F;  // 0x7FFFFFFF, still ascending
+      }
+      // An encoded reply's u32 count is followed by the varint stream;
+      // two continuation bits leave its last varint unterminated.
+      if (adjacency_request && fault_ == Fault::kTruncatedEncodedReplies) {
+        out[20] |= 0x80;
+        out[21] |= 0x80;
       }
       if (!net::WriteAll(fd, out).ok()) return;
     }
@@ -1186,6 +1238,31 @@ TEST(TcpFaultTest, UnsortedOrOutOfRangeRepliesAreErrorsNotCrashes) {
   }
 }
 
+TEST(TcpFaultTest, MalformedEncodedRepliesAreErrorsNotCrashes) {
+  // The wire decoder validates an encoded reply as it decodes it, where
+  // it enters the process: a malformed stream comes back kUnavailable.
+  if (!codec::CompressionEnabled(true)) {
+    GTEST_SKIP() << "BENU_DISABLE_COMPRESSION is set; replies are raw";
+  }
+  Graph g = MakeCycle(12);  // every stream holds two one-byte varints
+  ScriptedTcpServer bad(&g, /*partitions=*/2,
+                        ScriptedTcpServer::Fault::kTruncatedEncodedReplies);
+  std::vector<ReplicaGroup> groups{{{{"127.0.0.1", bad.port()}}}};
+  TcpTransportOptions options = FastRetryOptions();
+  options.max_attempts = 2;
+  auto tcp = ConnectTcpTransport(groups, options);
+  ASSERT_TRUE(tcp.ok()) << tcp.status().ToString();
+  ASSERT_TRUE((*tcp)->compressed());
+
+  auto fetched = (*tcp)->Fetch(4);
+  EXPECT_EQ(fetched.status().code(), StatusCode::kUnavailable)
+      << fetched.status().ToString();
+  const VertexId keys[] = {1, 2, 3};
+  auto batch = (*tcp)->FetchBatch(keys);
+  EXPECT_EQ(batch.status().code(), StatusCode::kUnavailable)
+      << batch.status().ToString();
+}
+
 TEST(TcpFaultTest, MuteServerSurfacesBoundedTimeout) {
   Graph g = MakeCycle(8);
   ScriptedTcpServer mute(&g, /*partitions=*/2,
@@ -1238,7 +1315,7 @@ TEST(TcpFaultTest, FailsOverToReplicaWhenServerStops) {
     auto after = (*tcp)->Fetch(v);
     ASSERT_TRUE(after.ok()) << after.status().ToString();
     VertexSetView expected = g.Adjacency(v);
-    EXPECT_EQ(*after->Materialize(),
+    EXPECT_EQ(*after->decoded,
               VertexSet(expected.begin(), expected.end()));
   }
   auto faults = QueryTcpFaultStats(**tcp);

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <set>
 #include <span>
@@ -30,6 +31,7 @@
 #include "storage/kv_server.h"
 #include "storage/kv_tcp_server.h"
 #include "storage/socket_io.h"
+#include "storage/transport.h"
 
 namespace benu {
 namespace {
@@ -134,12 +136,14 @@ Bytes Mutate(const Bytes& frame, Rng& rng) {
 void DecodeEverything(const wire::Frame& frame) {
   VertexId key = 0;
   VertexSet set;
-  codec::EncodedSet encoded;
+  AdjacencyPayload payload;
   uint64_t epoch = 0;
   std::vector<EdgeDelta> ops;
   (void)wire::DecodeGetRequest(frame);
   (void)wire::DecodeAdjacencyReply(frame, &key, &set);
-  (void)wire::DecodeEncodedAdjacencyReply(frame, &key, &encoded);
+  (void)wire::DecodeEncodedAdjacencyReply(frame, &key, &set);
+  (void)DecodeAdjacencyPayload(frame, /*num_vertices=*/1u << 20, &key,
+                               &payload);
   (void)wire::DecodeBatchGetRequest(frame);
   (void)wire::DecodeHelloReply(frame);
   (void)wire::DecodeStatsReply(frame);
@@ -238,6 +242,78 @@ TEST(WireFuzzTest, MutatedFramesNeverBreakTheSplitterOrDecoders) {
   // The mutations reach both sides of every check.
   EXPECT_GT(decoded, 4000u);
   EXPECT_GT(undelimitable, 400u);
+}
+
+// The client decodes an encoded adjacency reply once, where it enters
+// the process (DecodeAdjacencyPayload): the codec's adversarial streams
+// and random byte soup must reach that decoder as errors, never crashes,
+// and whatever it accepts must be a sorted in-range set.
+TEST(WireFuzzTest, EncodedRepliesAreCheckedWhereTheyEnterTheProcess) {
+  constexpr size_t kVertices = 1000;
+  const auto decode = [&](uint32_t count, const Bytes& stream,
+                          AdjacencyPayload* payload) {
+    codec::EncodedSet set;
+    set.count = count;
+    set.bytes = stream;
+    Bytes buf;
+    wire::AppendEncodedAdjacencyReply(/*key=*/3, set, &buf);
+    auto frame = wire::DecodeFrame(buf);
+    EXPECT_TRUE(frame.ok());
+    VertexId key = kInvalidVertex;
+    return DecodeAdjacencyPayload(*frame, kVertices, &key, payload);
+  };
+  const struct {
+    const char* what;
+    Bytes stream;
+    uint32_t count;
+  } malformed[] = {
+      {"truncated mid-varint", {0x80}, 1},
+      {"missing values", {0x01}, 2},
+      {"trailing bytes", {0x01, 0x01}, 1},
+      {"zero delta", {0x01, 0x00}, 2},
+      {"varint too long", {0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, 1},
+      {"non-minimal varint", {0x81, 0x00}, 1},
+      {"delta over 2^32", {0xFF, 0xFF, 0xFF, 0xFF, 0x1F}, 1},
+      {"sequence overflows u32", {0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x02}, 2},
+      {"count without bytes", {}, 1},
+      {"count past the stream", {0x01, 0x01}, 0xFFFFFFFFu},
+      {"id past the graph", {0xE9, 0x07}, 1},  // {1000}
+  };
+  for (const auto& c : malformed) {
+    AdjacencyPayload payload;
+    const Status st = decode(c.count, c.stream, &payload);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << c.what;
+    EXPECT_EQ(payload.decoded, nullptr) << c.what;
+  }
+  Rng rng(4711);
+  size_t accepted = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    Bytes stream(rng.NextBounded(48));
+    for (auto& b : stream) b = static_cast<uint8_t>(rng.NextBounded(128));
+    if (!stream.empty() && rng.NextBounded(4) == 0) {
+      stream[rng.NextBounded(stream.size())] |= 0x80;
+    }
+    // Half the trials announce one value per byte, the count a stream
+    // of single-byte varints needs.
+    const auto count = static_cast<uint32_t>(
+        rng.NextBounded(2) == 0 ? stream.size() : rng.NextBounded(64));
+    AdjacencyPayload payload;
+    if (!decode(count, stream, &payload).ok()) continue;
+    ++accepted;
+    ASSERT_NE(payload.decoded, nullptr);
+    const VertexSet& set = *payload.decoded;
+    ASSERT_EQ(set.size(), count);
+    EXPECT_TRUE(std::adjacent_find(set.begin(), set.end(),
+                                   std::greater_equal<VertexId>()) ==
+                set.end());
+    if (!set.empty()) {
+      EXPECT_LT(set.back(), kVertices);
+    }
+    EXPECT_EQ(payload.wire_bytes,
+              wire::EncodedAdjacencyReplyBytes(stream.size()));
+  }
+  // The soup reaches both outcomes.
+  EXPECT_GT(accepted, 20u);
 }
 
 TEST(WireFuzzTest, EveryVersionByteButOneIsRejected) {
