@@ -2,6 +2,8 @@
 // derives — the symmetry-breaking partial order, the best matching order,
 // the optimized execution plan (the paper's Fig. 3 style), its
 // VCBC-compressed form, estimated costs, and the Exp-1 search counters.
+// After each plan it prints the listing the executor runs ("executes
+// as:"), with single-use temporaries folded into their filtered INT.
 //
 // Usage: ./build/examples/plan_explorer [pattern-name] ...
 //        (default: q4; see AllPatternNames for the catalog)
@@ -10,12 +12,21 @@
 #include <string>
 #include <vector>
 
+#include "core/executor.h"
 #include "graph/patterns.h"
 #include "plan/plan_search.h"
 #include "plan/symmetry_breaking.h"
 #include "plan/vcbc.h"
 
 namespace {
+
+void PrintExecutedForm(const benu::ExecutionPlan& plan) {
+  const auto code = benu::FoldSingleUseTemporaries(plan.instructions);
+  std::printf("executes as:\n");
+  for (size_t i = 0; i < code.size(); ++i) {
+    std::printf("  %zu: %s\n", i + 1, code[i].ToString().c_str());
+  }
+}
 
 void Explore(const std::string& name) {
   using namespace benu;
@@ -53,12 +64,14 @@ void Explore(const std::string& name) {
   std::printf("estimated cost: communication=%.3g  computation=%.3g\n",
               best->cost.communication, best->cost.computation);
   std::printf("best optimized plan:\n%s", best->plan.ToString().c_str());
+  PrintExecutedForm(best->plan);
 
   ExecutionPlan compressed = best->plan;
   if (ApplyVcbcCompression(&compressed).ok()) {
     std::printf("VCBC-compressed plan (core:");
     for (auto u : compressed.core_vertices) std::printf(" u%u", u + 1);
     std::printf("):\n%s", compressed.ToString().c_str());
+    PrintExecutedForm(compressed);
   }
   std::printf("\n");
 }

@@ -16,7 +16,55 @@ namespace {
 constexpr const char* kInstrNames[] = {"INI", "DBQ", "INT",
                                        "ENU", "TRC", "RES"};
 
+bool Reads(const Instruction& ins, const VarRef& var) {
+  return std::find(ins.operands.begin(), ins.operands.end(), var) !=
+         ins.operands.end();
+}
+
 }  // namespace
+
+std::vector<Instruction> FoldSingleUseTemporaries(
+    std::vector<Instruction> code) {
+  // Backwards, so a filter-free X has already merged into its own reader
+  // when T comes up.
+  for (size_t t = code.size(); t-- > 0;) {
+    const Instruction& def = code[t];
+    if (def.type != InstrType::kIntersect || !def.filters.empty() ||
+        def.operands.size() < 2) {
+      continue;
+    }
+    const auto reads_t = [&](const Instruction& ins) {
+      return Reads(ins, def.target);
+    };
+    const auto x_it = std::find_if(code.begin() + t + 1, code.end(), reads_t);
+    if (x_it == code.end() || x_it->type != InstrType::kIntersect ||
+        std::count_if(x_it, code.end(), reads_t) != 1) {
+      continue;
+    }
+    const auto between = [&](auto pred) {
+      return std::any_of(code.begin() + t + 1, x_it, pred);
+    };
+    // Folding across an ENU would undo Opt 2's loop hoisting.
+    if (between([](const Instruction& ins) {
+          return ins.type == InstrType::kEnumerate;
+        })) {
+      continue;
+    }
+    Instruction folded = *x_it;
+    folded.operands = def.operands;
+    for (const VarRef& op : x_it->operands) {
+      if (!(op == def.target) && !Reads(folded, op)) {
+        folded.operands.push_back(op);
+      }
+    }
+    // At T's position unless X reads a set defined between T and X.
+    const bool at_t = !between(
+        [&](const Instruction& ins) { return Reads(*x_it, ins.target); });
+    *(at_t ? code.begin() + t : x_it) = std::move(folded);
+    code.erase(at_t ? x_it : code.begin() + t);
+  }
+  return code;
+}
 
 AdjacencyProvider::Fetch DirectAdjacencyProvider::GetAdjacency(VertexId v) {
   BENU_CHECK(v < graph_->NumVertices());
@@ -215,7 +263,8 @@ Status PlanExecutor::Compile() {
   };
 
   bool seen_enum = false;
-  for (const Instruction& ins : plan_->instructions) {
+  for (const Instruction& ins :
+       FoldSingleUseTemporaries(plan_->instructions)) {
     Compiled c;
     c.type = ins.type;
     // Split filters by kind: order filters become [lo, hi) clamps fused

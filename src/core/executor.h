@@ -160,7 +160,7 @@ struct TaskStats {
   Count db_queries = 0;       ///< requests that reached the remote store
   Count coalesced_fetches = 0;  ///< misses served by a sibling's query
   Count bytes_fetched = 0;
-  Count intersections = 0;    ///< INT executions + TRC misses
+  Count intersections = 0;    ///< compiled INT executions + TRC misses
   Count tcache_hits = 0;
   double wall_seconds = 0;
   /// CPU time of the executing thread; < 0 when the platform cannot
@@ -170,6 +170,14 @@ struct TaskStats {
 
   void Accumulate(const TaskStats& other);
 };
+
+/// The instruction list PlanExecutor runs for a plan: each filter-free,
+/// multi-operand INT whose target T is read only by one INT X, with no
+/// ENU in between, merges into X as `X := Intersect(ops(T) ∪ ops(X)∖{T})
+/// | filters(X)`, at T's position if X's other operands are defined there,
+/// else at X's. TRC results are never folded.
+std::vector<Instruction> FoldSingleUseTemporaries(
+    std::vector<Instruction> instructions);
 
 /// Interprets a BENU execution plan over the data graph: the distributed
 /// framework's inner loop (Algorithm 2 line 8). One executor instance is

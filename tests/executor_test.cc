@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "baselines/bruteforce.h"
 #include "graph/generators.h"
 #include "graph/patterns.h"
@@ -242,6 +245,178 @@ TEST(ExecutorTest, CreateRejectsTrcWithoutCache) {
   DirectAdjacencyProvider provider(&data);
   auto executor = PlanExecutor::Create(&plan.value(), &provider, nullptr);
   EXPECT_FALSE(executor.ok());
+}
+
+// ---------------------------------------------------------------------
+// FoldSingleUseTemporaries: the executor's compiled form of a plan.
+
+// Plan variables by their paper names (1-based), for hand-built lists.
+VarRef F(int i) { return {VarKind::kF, i - 1}; }
+VarRef A(int i) { return {VarKind::kA, i - 1}; }
+VarRef T(int i) { return {VarKind::kT, i - 1}; }
+VarRef C(int i) { return {VarKind::kC, i - 1}; }
+FilterCondition Gt(int i) { return {FilterKind::kGreater, i - 1}; }
+FilterCondition Ne(int i) { return {FilterKind::kNotEqual, i - 1}; }
+
+Instruction Make(InstrType type, VarRef target, std::vector<VarRef> operands,
+                 std::vector<FilterCondition> filters = {}) {
+  Instruction ins;
+  ins.type = type;
+  ins.target = target;
+  ins.operands = std::move(operands);
+  ins.filters = std::move(filters);
+  return ins;
+}
+
+// f1 := Init(start); A1 := GetAdj(f1); f2 := Foreach(A1); A2 := GetAdj(f2)
+std::vector<Instruction> TwoLevelPrefix() {
+  return {Make(InstrType::kInit, F(1), {}),
+          Make(InstrType::kDbQuery, A(1), {F(1)}),
+          Make(InstrType::kEnumerate, F(2), {A(1)}),
+          Make(InstrType::kDbQuery, A(2), {F(2)})};
+}
+
+std::vector<std::string> Listing(const std::vector<Instruction>& code) {
+  std::vector<std::string> lines;
+  for (const Instruction& ins : code) lines.push_back(ins.ToString());
+  return lines;
+}
+
+size_t CountIntersects(const std::vector<Instruction>& code) {
+  return static_cast<size_t>(
+      std::count_if(code.begin(), code.end(), [](const Instruction& ins) {
+        return ins.type == InstrType::kIntersect;
+      }));
+}
+
+// q5 under the matching order u2 u3 u1 u4 u5, optimized (Opt 1-3).
+ExecutionPlan Q5Plan() {
+  Graph p = std::move(GetPattern("q5")).value();
+  auto plan = GenerateRawPlan(p, {1, 2, 0, 3, 4},
+                              ComputeSymmetryBreakingConstraints(p));
+  EXPECT_TRUE(plan.ok());
+  OptimizePlan(&plan.value());
+  return *plan;
+}
+
+TEST(FoldTest, Q5InnermostTemporaryFoldsAtItsPosition) {
+  const ExecutionPlan plan = Q5Plan();
+  std::vector<std::string> expected = Listing(plan.instructions);
+  const auto t = static_cast<size_t>(
+      std::find(expected.begin(), expected.end(), "T9 := Intersect(A1, A4)") -
+      expected.begin());
+  ASSERT_LT(t + 1, expected.size());
+  ASSERT_EQ(expected[t + 1], "C5 := Intersect(T9) | >f2, !=f3, >f1");
+  expected[t] = "C5 := Intersect(A1, A4) | >f2, !=f3, >f1";
+  expected.erase(expected.begin() + static_cast<std::ptrdiff_t>(t) + 1);
+  EXPECT_EQ(Listing(FoldSingleUseTemporaries(plan.instructions)), expected);
+}
+
+TEST(FoldTest, SharedTemporaryIsKept) {
+  // In the catalog's optimized plans every shared T is a TRC, so the
+  // shared INT is built by hand.
+  std::vector<Instruction> code = TwoLevelPrefix();
+  code.push_back(Make(InstrType::kIntersect, T(1), {A(1), A(2)}));
+  code.push_back(Make(InstrType::kIntersect, C(3), {T(1)}, {Gt(1)}));
+  code.push_back(Make(InstrType::kIntersect, C(4), {T(1)}, {Gt(2)}));
+  code.push_back(Make(InstrType::kEnumerate, F(3), {C(3)}));
+  code.push_back(Make(InstrType::kEnumerate, F(4), {C(4)}));
+  EXPECT_EQ(Listing(FoldSingleUseTemporaries(code)), Listing(code));
+}
+
+TEST(FoldTest, TriangleCacheResultIsKept) {
+  Graph p = MakeClique(3);
+  auto plan = GenerateRawPlan(p, Identity(3),
+                              ComputeSymmetryBreakingConstraints(p));
+  ASSERT_TRUE(plan.ok());
+  OptimizePlan(&plan.value());
+  const std::vector<std::string> listing = Listing(plan->instructions);
+  ASSERT_NE(std::find(listing.begin(), listing.end(), "T5 := TCache(A1, A2)"),
+            listing.end());
+  EXPECT_EQ(Listing(FoldSingleUseTemporaries(plan->instructions)), listing);
+}
+
+TEST(FoldTest, TemporaryHoistedAboveAnEnuIsKept) {
+  std::vector<Instruction> code = TwoLevelPrefix();
+  code.push_back(Make(InstrType::kIntersect, T(1), {A(1), A(2)}));
+  code.push_back(Make(InstrType::kEnumerate, F(3), {A(2)}));
+  code.push_back(Make(InstrType::kIntersect, C(4), {T(1)}, {Gt(3)}));
+  code.push_back(Make(InstrType::kEnumerate, F(4), {C(4)}));
+  EXPECT_EQ(Listing(FoldSingleUseTemporaries(code)), Listing(code));
+}
+
+TEST(FoldTest, Opt2ChainFoldsIntoOneThreeOperandIntersect) {
+  // T := A1 ∩ A2; C4 := T ∩ A3 | filters, with A3 defined before T: the
+  // folded INT takes T's position.
+  std::vector<Instruction> code = TwoLevelPrefix();
+  code.push_back(Make(InstrType::kEnumerate, F(3), {A(2)}));
+  code.push_back(Make(InstrType::kDbQuery, A(3), {F(3)}));
+  code.push_back(Make(InstrType::kIntersect, T(1), {A(1), A(2)}));
+  code.push_back(Make(InstrType::kIntersect, C(4), {T(1), A(3)},
+                      {Gt(1), Ne(2)}));
+  code.push_back(Make(InstrType::kEnumerate, F(4), {C(4)}));
+  std::vector<std::string> expected = Listing(code);
+  expected[6] = "C4 := Intersect(A1, A2, A3) | >f1, !=f2";
+  expected.erase(expected.begin() + 7);
+  EXPECT_EQ(Listing(FoldSingleUseTemporaries(code)), expected);
+
+  // A3 fetched between T and its reader: the folded INT waits at the
+  // reader's position.
+  std::swap(code[5], code[6]);  // T1 before A3 := GetAdj(f3)
+  expected = Listing(code);
+  expected[7] = "C4 := Intersect(A1, A2, A3) | >f1, !=f2";
+  expected.erase(expected.begin() + 5);
+  EXPECT_EQ(Listing(FoldSingleUseTemporaries(code)), expected);
+}
+
+TEST(FoldTest, NestedTemporariesFoldTransitively) {
+  std::vector<Instruction> code = TwoLevelPrefix();
+  code.push_back(Make(InstrType::kEnumerate, F(3), {A(2)}));
+  code.push_back(Make(InstrType::kDbQuery, A(3), {F(3)}));
+  code.push_back(Make(InstrType::kIntersect, T(1), {A(1), A(2)}));
+  code.push_back(Make(InstrType::kIntersect, T(2), {T(1), A(3)}));
+  code.push_back(Make(InstrType::kIntersect, C(4), {T(2)}, {Gt(3)}));
+  std::vector<std::string> expected = Listing(code);
+  expected[6] = "C4 := Intersect(A1, A2, A3) | >f3";
+  expected.erase(expected.begin() + 7, expected.end());
+  EXPECT_EQ(Listing(FoldSingleUseTemporaries(code)), expected);
+}
+
+TEST(FoldTest, CompressedPlanReportsTheFoldedCandidateSet) {
+  ExecutionPlan compressed = Q5Plan();
+  ASSERT_TRUE(ApplyVcbcCompression(&compressed).ok());
+  const std::vector<std::string> folded =
+      Listing(FoldSingleUseTemporaries(compressed.instructions));
+  ASSERT_EQ(folded.size() + 1, compressed.instructions.size());
+  EXPECT_EQ(folded.back(), "f := ReportMatch(f1, f2, f3, f4, C5)");
+  EXPECT_NE(std::find(folded.begin(), folded.end(),
+                      "C5 := Intersect(A1, A4) | >f2, !=f3, >f1"),
+            folded.end());
+
+  auto data = GenerateErdosRenyi(80, 400, 41);
+  ASSERT_TRUE(data.ok());
+  Graph relabeled = data->RelabelByDegree();
+  Graph p = std::move(GetPattern("q5")).value();
+  auto expected = BruteForceCountSubgraphs(relabeled, p);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_GT(*expected, 0u);
+  EXPECT_EQ(RunAllTasks(compressed, relabeled), *expected);
+}
+
+TEST(FoldTest, BestQ5PlanRunsOneIntersectFewerAndKeepsItsCount) {
+  auto data = GenerateErdosRenyi(90, 450, 13);
+  ASSERT_TRUE(data.ok());
+  Graph relabeled = data->RelabelByDegree();
+  Graph p = std::move(GetPattern("q5")).value();
+  auto best = GenerateBestPlan(p, DataGraphStats::FromGraph(relabeled));
+  ASSERT_TRUE(best.ok());
+  const std::vector<Instruction>& code = best->plan.instructions;
+  EXPECT_EQ(CountIntersects(FoldSingleUseTemporaries(code)) + 1,
+            CountIntersects(code));
+  auto expected = BruteForceCountSubgraphs(relabeled, p);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_GT(*expected, 0u);
+  EXPECT_EQ(RunAllTasks(best->plan, relabeled), *expected);
 }
 
 }  // namespace
